@@ -179,12 +179,11 @@ def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
             out_state = oracle.apply_ubc(state, n, k, bell)
             e_out_o = oracle.entropy_of(oracle.schmidt_spectrum(out_state))
             # isometry of the relabeling on the permutation basis
-            images = [
-                oracle.apply_ubc(oracle.string_state(perm, bell), n, k, bell).amps
-                for perm in oracle.permutation_strings(n, k)
-            ]
-            w = np.stack(images)
-            gram_dev = float(np.max(np.abs(w @ w.conj().T - np.eye(len(images)))))
+            perms = oracle.permutation_strings(n, k)
+            w = np.empty((len(perms), state.amps.size), dtype=state.amps.dtype)
+            for row, perm in zip(w, perms):
+                row[:] = oracle.apply_ubc(oracle.string_state(perm, bell), n, k, bell).amps
+            gram_dev = float(np.max(np.abs(w @ w.conj().T - np.eye(len(perms)))))
             # product encoding: relabeling must not move any entanglement
             pspec = teststate.TestStateSpec(
                 n=n, k=k, encoding=teststate.Encoding.PRODUCT
@@ -374,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(text, args.out)
             return 0
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

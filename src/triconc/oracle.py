@@ -11,8 +11,14 @@ the B|C cut wants.
 The module knows nothing about closed forms: it builds permutation test
 states explicitly, extracts Schmidt spectra by SVD, applies the
 compression relabeling as an explicit change of basis, and simulates
-one-sided circuits as dense unitaries.  Everything is capped at 10
-pairs (4**10 amplitudes); that is the price of being an oracle.
+one-sided circuits as dense unitaries.  Every state, test state and
+relabeled image alike, is built the same way: a ``(2,)*n`` tensor of
+logical theta/tau coefficients mapped to amplitudes by that change of
+basis.  Storage is real (float64) by default, since the stock encodings
+and gates are real; the dtype follows the encoding, so a caller-built
+complex :class:`PairEncoding` gives complex states.  Everything is
+capped at 10 pairs (4**10 amplitudes); that is the price of being an
+oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ __all__ = [
     "compression_circuit_n2",
 ]
 
-#: Dense complex vectors stop here: 4**10 amplitudes is desk-scale.
+#: Dense vectors stop here: 4**10 amplitudes (8 MB in float64) is desk-scale.
 MAX_DENSE_PAIRS = 10
 
 _ORTHO_TOL = 1e-12
@@ -55,9 +61,10 @@ _ORTHO_TOL = 1e-12
 class PairEncoding:
     """The orthonormal signal pair (theta, tau) of one two-qubit pair.
 
-    Each state is stored as a 2x2 complex matrix indexed ``[b, c]`` over
-    the pair's B and C qubits, i.e. the four amplitudes on {00, 01, 10,
-    11}.
+    Each state is stored as a 2x2 amplitude matrix indexed ``[b, c]``
+    over the pair's B and C qubits, i.e. the four amplitudes on {00, 01,
+    10, 11}.  The stock encodings are real (float64); a complex pair
+    makes every state built from it complex.
     """
 
     theta: np.ndarray
@@ -77,16 +84,16 @@ class PairEncoding:
         """theta = (|00>+|11>)/sqrt2, tau = (|00>-|11>)/sqrt2."""
         s = 1.0 / math.sqrt(2.0)
         return cls(
-            theta=np.array([[s, 0.0], [0.0, s]], dtype=complex),
-            tau=np.array([[s, 0.0], [0.0, -s]], dtype=complex),
+            theta=np.array([[s, 0.0], [0.0, s]]),
+            tau=np.array([[s, 0.0], [0.0, -s]]),
         )
 
     @classmethod
     def product(cls) -> "PairEncoding":
         """theta = |00>, tau = |11>."""
         return cls(
-            theta=np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-            tau=np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
+            theta=np.array([[1.0, 0.0], [0.0, 0.0]]),
+            tau=np.array([[0.0, 0.0], [0.0, 1.0]]),
         )
 
     @classmethod
@@ -153,19 +160,33 @@ class LocalCircuit:
     gates: tuple[Gate, ...]
 
 
-def _string_matrix(bits: tuple[int, ...], enc: PairEncoding) -> np.ndarray:
-    m = np.array([[1.0 + 0.0j]])
-    for b in bits:
-        m = np.kron(m, enc.tau if b else enc.theta)
-    return m
+def _check_cap(n: int) -> None:
+    if n > MAX_DENSE_PAIRS:
+        raise ValueError(f"{n} pairs exceeds the dense cap of {MAX_DENSE_PAIRS}")
+
+
+def _logical_index(strings: list[tuple[int, ...]], n: int) -> tuple[np.ndarray, ...]:
+    # One index array per pair, addressing every string in a (2,)*n tensor.
+    index = np.array(strings, dtype=np.intp).reshape(len(strings), n)
+    if np.any((index != 0) & (index != 1)):
+        raise ValueError("string entries must be 0 (theta) or 1 (tau)")
+    return tuple(index.T)
+
+
+def _uniform_state(
+    strings: list[tuple[int, ...]], n: int, enc: PairEncoding
+) -> PureStateVector:
+    # Distinct strings are orthonormal, so equal logical coefficients
+    # 1/sqrt(count) give a normalized state.
+    logical = np.zeros((2,) * n)
+    logical[_logical_index(strings, n)] = 1.0 / math.sqrt(len(strings))
+    return _from_logical(logical, n, enc)
 
 
 def string_state(bits: tuple[int, ...], enc: PairEncoding) -> PureStateVector:
     """Product state with pair j in tau if bits[j] else theta."""
-    n = len(bits)
-    if n > MAX_DENSE_PAIRS:
-        raise ValueError(f"{n} pairs exceeds the dense cap of {MAX_DENSE_PAIRS}")
-    return PureStateVector(n_pairs=n, amps=_string_matrix(bits, enc).reshape(-1))
+    _check_cap(len(bits))
+    return _uniform_state([bits], len(bits), enc)
 
 
 def superpose_strings(
@@ -179,14 +200,8 @@ def superpose_strings(
         raise ValueError("all strings must have the same length")
     if len(set(strings)) != len(strings):
         raise ValueError("strings must be distinct")
-    if n > MAX_DENSE_PAIRS:
-        raise ValueError(f"{n} pairs exceeds the dense cap of {MAX_DENSE_PAIRS}")
-    d = 1 << n
-    m = np.zeros((d, d), dtype=complex)
-    for bits in strings:
-        m += _string_matrix(bits, enc)
-    m /= math.sqrt(len(strings))  # distinct strings are orthonormal
-    return PureStateVector(n_pairs=n, amps=m.reshape(-1))
+    _check_cap(n)
+    return _uniform_state(strings, n, enc)
 
 
 def permutation_strings(n: int, k: int) -> list[tuple[int, ...]]:
@@ -203,10 +218,7 @@ def permutation_strings(n: int, k: int) -> list[tuple[int, ...]]:
 
 def build_test_state(spec: TestStateSpec, enc: PairEncoding | None = None) -> PureStateVector:
     """Uniform superposition over all C(n, k) permutation strings."""
-    if spec.n > MAX_DENSE_PAIRS:
-        raise ValueError(
-            f"n={spec.n} exceeds the dense cap of {MAX_DENSE_PAIRS} pairs"
-        )
+    _check_cap(spec.n)  # before enumerating C(n, k) strings
     if enc is None:
         enc = PairEncoding.for_encoding(spec.encoding)
     return superpose_strings(permutation_strings(spec.n, spec.k), enc)
@@ -320,18 +332,19 @@ def apply_ubc(
         raise ValueError(
             f"state is not in the theta/tau product span (residual {residual:.3e})"
         )
-    weights = np.zeros_like(logical, dtype=bool)
-    for bits in permutation_strings(n, k):
-        weights[bits] = True
-    off_support = float(np.linalg.norm(logical[~weights]))
+    codebook = ubc_codebook(n, k)
+    perms = _logical_index([perm for perm, _ in codebook], n)
+    images = _logical_index([image for _, image in codebook], n)
+    support = np.zeros(logical.shape, dtype=bool)
+    support[perms] = True
+    off_support = float(np.linalg.norm(logical[~support]))
     if off_support > 1e-10:
         raise ValueError(
             f"state leaves the weight-{k} permutation subspace "
             f"(off-support norm {off_support:.3e})"
         )
     mapped = np.zeros_like(logical)
-    for perm, image in ubc_codebook(n, k):
-        mapped[image] = logical[perm]
+    mapped[images] = logical[perms]
     return _from_logical(mapped, n, enc)
 
 
@@ -346,22 +359,22 @@ def _side_unitary(gate: Gate, n: int) -> np.ndarray:
         c_bit = 1 << (n - 1 - gate.control)
         src = np.arange(dim)
         dst = np.where(src & c_bit, src ^ t_bit, src)
-        u = np.zeros((dim, dim), dtype=complex)
+        u = np.zeros((dim, dim))
         u[dst, src] = 1.0
         return u
     if gate.kind == "X":
         src = np.arange(dim)
-        u = np.zeros((dim, dim), dtype=complex)
+        u = np.zeros((dim, dim))
         u[src ^ t_bit, src] = 1.0
         return u
     if gate.kind == "Z":
-        phases = np.where(np.arange(dim) & t_bit, -1.0, 1.0).astype(complex)
+        phases = np.where(np.arange(dim) & t_bit, -1.0, 1.0)
         return np.diag(phases)
     # H
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-    u = np.array([[1.0 + 0.0j]])
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    u = np.ones((1, 1))
     for j in range(n):
-        u = np.kron(u, h if j == gate.target else np.eye(2, dtype=complex))
+        u = np.kron(u, h if j == gate.target else np.eye(2))
     return u
 
 

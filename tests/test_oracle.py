@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triconc.oracle import (
     Gate,
@@ -29,8 +31,32 @@ BELL = PairEncoding.bell()
 PROD = PairEncoding.product()
 
 
+#: BELL with the phase gate diag(1, i) on every C qubit: complex, and one
+#: local unitary away from BELL, so every spectrum must match BELL's.
+PHASED = PairEncoding(
+    theta=np.array([[1.0, 0.0], [0.0, 1j]]) / math.sqrt(2),
+    tau=np.array([[1.0, 0.0], [0.0, -1j]]) / math.sqrt(2),
+)
+
+
 def fidelity(a: PureStateVector, b: PureStateVector) -> float:
     return abs(np.vdot(a.amps, b.amps))
+
+
+def kron_reference(strings: list[tuple[int, ...]], enc: PairEncoding) -> np.ndarray:
+    """Uniform superposition built string by string as kron chains of pair states."""
+    d = 1 << len(strings[0])
+    m = np.zeros((d, d), dtype=np.result_type(enc.theta, enc.tau))
+    for bits in strings:
+        chain = np.ones((1, 1))
+        for b in bits:
+            chain = np.kron(chain, enc.tau if b else enc.theta)
+        m += chain
+    return m.reshape(-1) / math.sqrt(len(strings))
+
+
+def max_dev(state: PureStateVector, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(state.amps - ref)))
 
 
 class TestPairEncoding:
@@ -82,6 +108,86 @@ class TestBuildTestState:
     def test_superpose_rejects_duplicates(self):
         with pytest.raises(ValueError):
             superpose_strings([(0, 1), (0, 1)], BELL)
+
+    def test_rejects_non_binary_entries(self):
+        with pytest.raises(ValueError, match="0 .theta. or 1 .tau."):
+            superpose_strings([(0, 2)], BELL)
+        with pytest.raises(ValueError, match="0 .theta. or 1 .tau."):
+            string_state((-1,), BELL)
+
+    def test_string_state_resource_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            string_state((0,) * 11, BELL)
+
+
+class TestKronReference:
+    """The logical-tensor construction against explicit kron chains."""
+
+    @pytest.mark.parametrize(
+        "enc, encoding",
+        [(BELL, Encoding.BELL), (PROD, Encoding.PRODUCT)],
+        ids=["bell", "product"],
+    )
+    def test_every_config_up_to_six_pairs(self, enc, encoding):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                strings = permutation_strings(n, k)
+                ref = kron_reference(strings, enc)
+                assert max_dev(superpose_strings(strings, enc), ref) < 1e-14
+                spec = TestStateSpec(n, k, encoding)
+                assert max_dev(build_test_state(spec), ref) < 1e-14
+                for bits in strings:
+                    ref_one = kron_reference([bits], enc)
+                    assert max_dev(string_state(bits, enc), ref_one) < 1e-14
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        strings=st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=2**n,
+                unique=True,
+            )
+        ),
+        enc=st.sampled_from([BELL, PROD, PHASED]),
+    )
+    def test_random_string_subsets(self, strings, enc):
+        state = superpose_strings(strings, enc)
+        assert max_dev(state, kron_reference(strings, enc)) < 1e-14
+        assert abs(state.norm() - 1.0) < 1e-14
+
+
+def assert_same_spectrum(a: PureStateVector, b: PureStateVector) -> None:
+    pa, pb = schmidt_spectrum(a).probs, schmidt_spectrum(b).probs
+    assert [m for _, m in pa] == [m for _, m in pb]
+    assert max(abs(x - y) for (x, _), (y, _) in zip(pa, pb)) < 1e-12
+
+
+class TestDtype:
+    def test_stock_encodings_stay_real(self):
+        for enc, encoding in ((BELL, Encoding.BELL), (PROD, Encoding.PRODUCT)):
+            state = build_test_state(TestStateSpec(5, 2, encoding))
+            out = apply_ubc(state, 5, 2, enc)
+            circuit = LocalCircuit(gates=(
+                Gate(side="B", kind="H", target=0),
+                Gate(side="C", kind="CNOT", control=0, target=1),
+                Gate(side="B", kind="X", target=2),
+                Gate(side="C", kind="Z", target=3),
+            ))
+            moved = apply_local_circuit(out, circuit)
+            for s in (state, out, moved):
+                assert s.amps.dtype == np.float64
+
+    def test_complex_encoding_gives_complex_state(self):
+        for n, k in [(3, 1), (4, 2), (5, 2)]:
+            strings = permutation_strings(n, k)
+            state = superpose_strings(strings, PHASED)
+            assert state.amps.dtype == np.complex128
+            assert max_dev(state, kron_reference(strings, PHASED)) < 1e-14
+            bell = build_test_state(TestStateSpec(n, k))
+            assert_same_spectrum(state, bell)
+            out = apply_ubc(state, n, k, PHASED)
+            assert out.amps.dtype == np.complex128
+            assert_same_spectrum(out, apply_ubc(bell, n, k, BELL))
 
 
 class TestSchmidtSpectrum:
