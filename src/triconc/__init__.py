@@ -38,6 +38,7 @@ from .oracle import (
     string_state,
     superpose_strings,
     ubc_codebook,
+    verify_n2_circuit,
 )
 from .protocol import (
     BatchConfig,

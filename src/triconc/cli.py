@@ -15,6 +15,9 @@ All commands are deterministic given their flags and --seed (default
 comma-separated with LF line endings, a leading `# schema=<name>/1`
 comment, and reals printed to 12 significant digits.  `--format json`
 emits the same rows as a JSON document.
+
+Exit codes: 0 success, 1 oracle-check found a delta, 2 bad input or an
+unwritable --out, 3 internal error (a library invariant failed).
 """
 
 from __future__ import annotations
@@ -35,29 +38,35 @@ _CHECK_TOL = 1e-10
 
 
 class UsageError(ValueError):
-    """Bad flag combination; maps to exit code 2."""
+    """Bad flag value or combination; maps to exit code 2."""
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _csv(schema: str, header: list[str], rows: list[list[object]]) -> str:
+def _render(schema: str, fmt: str, header: list[str], rows: list[list[object]],
+            summary: dict[str, float] | None = None) -> str:
+    """A table as CSV, or as a JSON document with the same rows.
+
+    A summary goes under "summary" in JSON and into a trailing CSV row
+    padded to the header's width.
+    """
+    if fmt == "json":
+        doc: dict[str, object] = {
+            "schema": f"{schema}/1",
+            "rows": [dict(zip(header, row)) for row in rows],
+        }
+        if summary is not None:
+            doc["summary"] = summary
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if summary is not None:
+        pad = [""] * (len(header) - 1 - len(summary))
+        rows = rows + [["summary", *summary.values(), *pad]]
     lines = [f"# schema={schema}/1", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _json_doc(schema: str, header: list[str], rows: list[list[object]],
-              summary: dict | None = None) -> str:
-    doc: dict[str, object] = {
-        "schema": f"{schema}/1",
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    if summary is not None:
-        doc["summary"] = summary
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(text: str, out: str) -> None:
@@ -68,13 +77,20 @@ def _emit(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _min_step(p: float) -> int:
-    return Fraction(p).limit_denominator(10**6).denominator
+def _grid(p: float, n_max: int, step: int | None = None) -> range:
+    """The n grid step, 2*step, ... <= n_max on which k = n*p is exact.
 
-
-def _check_integral(value: float, what: str) -> None:
-    if abs(value - round(value)) > 1e-9:
-        raise UsageError(f"{what} = {value} is not an integer")
+    step*p must be an integer; the default step is the smallest such.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise UsageError(f"probability out of [0, 1]: {p}")
+    if step is None:
+        step = Fraction(p).limit_denominator(10**6).denominator
+    if step < 1:
+        raise UsageError(f"--step must be >= 1, got {step}")
+    if abs(step * p - round(step * p)) > 1e-9:
+        raise UsageError(f"step*p = {step * p} is not an integer")
+    return range(step, n_max + 1, step)
 
 
 def _parse_p_list(text: str) -> list[float]:
@@ -93,16 +109,10 @@ def _parse_p_list(text: str) -> list[float]:
 # ----------------------------------------------------------------- fig2
 
 def cmd_fig2(p: float, n_max: int, step: int | None) -> tuple[list[str], list[list[object]]]:
-    if not 0.0 <= p <= 1.0:
-        raise UsageError(f"probability out of [0, 1]: {p}")
-    if step is None:
-        step = _min_step(p)
-    if step < 1:
-        raise UsageError(f"--step must be >= 1, got {step}")
-    _check_integral(step * p, "step*p")
-    if n_max < step:
-        raise UsageError(f"--n-max {n_max} leaves no grid points at step {step}")
-    reports = teststate.gap_scan(p, list(range(step, n_max + 1, step)))
+    grid = _grid(p, n_max, step)
+    if not grid:
+        raise UsageError(f"--n-max {n_max} leaves no grid points at step {grid.step}")
+    reports = teststate.gap_scan(p, list(grid))
     header = ["n", "k", "e_in", "e_out", "gap"]
     rows: list[list[object]] = [
         [r.n, r.k, r.e_in, r.e_out, r.gap] for r in reports
@@ -116,8 +126,7 @@ def cmd_fig3(p_list: list[float], n_max: int) -> tuple[list[str], list[list[obje
     header = ["p", "slope", "residual"]
     rows: list[list[object]] = []
     for p in p_list:
-        step = _min_step(p)
-        grid = list(range(step, n_max + 1, step))
+        grid = _grid(p, n_max)
         if len(grid) < 3:
             print(
                 f"warning: p={p} admits only {len(grid)} integer-n*p points "
@@ -126,41 +135,12 @@ def cmd_fig3(p_list: list[float], n_max: int) -> tuple[list[str], list[list[obje
             )
             rows.append([float(p), float("nan"), float("nan")])
             continue
-        fit = teststate.slope_fit(p, grid)
+        fit = teststate.slope_fit(p, list(grid))
         rows.append([float(p), fit.slope, fit.residual])
     return header, rows
 
 
 # ---------------------------------------------------------- oracle-check
-
-def _n2_circuit_report() -> dict[str, object]:
-    enc = oracle.PairEncoding.bell()
-    circuit = oracle.compression_circuit_n2()
-    codebook = dict(oracle.ubc_codebook(2, 1))
-    logical = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    outputs = []
-    worst = 0.0
-    for bits in logical:
-        out = oracle.apply_local_circuit(oracle.string_state(bits, enc), circuit)
-        # nearest logical string, by overlap
-        best_bits, best_fid = None, -1.0
-        for cand in logical:
-            fid = abs(np.vdot(oracle.string_state(cand, enc).amps, out.amps))
-            if fid > best_fid:
-                best_bits, best_fid = cand, fid
-        outputs.append(best_bits)
-        worst = max(worst, 1.0 - best_fid)
-        if bits in codebook and best_bits != codebook[bits]:
-            worst = max(worst, 1.0)  # wrong image for a pinned mapping
-    distinct = len(set(outputs)) == len(outputs)
-    passed = worst < _CHECK_TOL and distinct
-    return {
-        "status": "pass" if passed else "fail",
-        "worst_infidelity": worst,
-        "images": {"".join(map(str, i)): "".join(map(str, o))
-                   for i, o in zip(logical, outputs)},
-    }
-
 
 def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
     if not 1 <= n_max <= 8:
@@ -216,10 +196,16 @@ def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
         "failures": failures,
     }
     if n_max >= 2:
-        n2 = _n2_circuit_report()
-        report["n2_locc"] = n2["status"]
-        report["n2_locc_detail"] = n2
-        if n2["status"] != "pass":
+        worst, images = oracle.verify_n2_circuit()
+        passed = worst < _CHECK_TOL and len(set(images.values())) == len(images)
+        report["n2_locc"] = "pass" if passed else "fail"
+        report["n2_locc_detail"] = {
+            "status": report["n2_locc"],
+            "worst_infidelity": worst,
+            "images": {"".join(map(str, i)): "".join(map(str, o))
+                       for i, o in images.items()},
+        }
+        if not passed:
             failures.append({"check": "n2_locc"})
     report["all_within_tolerance"] = not failures
     return report, 0 if not failures else 1
@@ -256,6 +242,17 @@ def cmd_batch(cfg: protocol.BatchConfig, trials: int) -> tuple[
         stderr_m = float("nan")
     summary = {"mean_m": mean_m, "stderr_m": stderr_m}
     return header, rows, summary
+
+
+def _run_batch(args: argparse.Namespace) -> tuple[
+    list[str], list[list[object]], dict[str, float]
+]:
+    try:
+        cfg = protocol.BatchConfig(n=args.n, p=args.p, epsilon=args.epsilon,
+                                   seed=args.seed)
+    except ValueError as exc:  # n, p, epsilon and seed are all flags
+        raise UsageError(str(exc)) from exc
+    return cmd_batch(cfg, args.trials)
 
 
 # ------------------------------------------------------------------ eof
@@ -300,82 +297,65 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fig2 = sub.add_parser("fig2", help="gap vs n dataset at fixed p")
+    def command(name: str, help: str, run) -> argparse.ArgumentParser:
+        # run(args) returns oracle-check's (report, exit code), or a
+        # table (header, rows[, summary]) named by its command.
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        _add_common(sp, suppress=True)
+        return sp
+
+    p_fig2 = command("fig2", "gap vs n dataset at fixed p",
+                     lambda a: cmd_fig2(a.p, a.n_max, a.step))
     p_fig2.add_argument("--p", type=float, required=True)
     p_fig2.add_argument("--n-max", type=int, default=500)
     p_fig2.add_argument("--step", type=int, default=None,
                         help="n grid step; must make step*p an integer "
                              "(default: smallest such step)")
 
-    p_fig3 = sub.add_parser("fig3", help="gap slope vs p dataset")
+    p_fig3 = command("fig3", "gap slope vs p dataset",
+                     lambda a: cmd_fig3(_parse_p_list(a.p_list), a.n_max))
     p_fig3.add_argument("--p-list", required=True,
                         help="comma-separated probabilities")
     p_fig3.add_argument("--n-max", type=int, default=500)
 
-    p_oc = sub.add_parser("oracle-check",
-                          help="formula-vs-oracle JSON report (exit 1 on any "
-                               "delta >= 1e-10)")
+    p_oc = command("oracle-check",
+                   "formula-vs-oracle JSON report (exit 1 on any delta >= 1e-10)",
+                   lambda a: cmd_oracle_check(a.n_max))
     p_oc.add_argument("--n-max", type=int, default=4)
 
-    p_batch = sub.add_parser("batch", help="batching stopping-rule trials")
+    p_batch = command("batch", "batching stopping-rule trials", _run_batch)
     p_batch.add_argument("--epsilon", type=float, required=True)
     p_batch.add_argument("--n", type=int, default=20, help="copies per batch")
     p_batch.add_argument("--p", type=float, default=0.5)
     p_batch.add_argument("--trials", type=int, default=2000)
 
-    p_eof = sub.add_parser("eof", help="entanglement-of-formation ledger")
+    p_eof = command("eof", "entanglement-of-formation ledger",
+                    lambda a: cmd_eof([i / 100 for i in range(101)] if a.p_list is None
+                                      else _parse_p_list(a.p_list)))
     p_eof.add_argument("--p-list", default=None,
                        help="comma-separated probabilities "
                             "(default: 101-point uniform grid on [0, 1])")
-
-    for sp in (p_fig2, p_fig3, p_oc, p_batch, p_eof):
-        _add_common(sp, suppress=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "fig2":
-            header, rows = cmd_fig2(args.p, args.n_max, args.step)
-            text = (_csv("fig2", header, rows) if args.format == "csv"
-                    else _json_doc("fig2", header, rows))
-            _emit(text, args.out)
-            return 0
-        if args.command == "fig3":
-            header, rows = cmd_fig3(_parse_p_list(args.p_list), args.n_max)
-            text = (_csv("fig3", header, rows) if args.format == "csv"
-                    else _json_doc("fig3", header, rows))
-            _emit(text, args.out)
-            return 0
-        if args.command == "oracle-check":
-            report, code = cmd_oracle_check(args.n_max)
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-            return code
-        if args.command == "batch":
-            cfg = protocol.BatchConfig(n=args.n, p=args.p, epsilon=args.epsilon,
-                                       seed=args.seed)
-            header, rows, summary = cmd_batch(cfg, args.trials)
-            if args.format == "csv":
-                text = _csv("batch", header, rows)
-                text += f"summary,{_fmt(summary['mean_m'])},{_fmt(summary['stderr_m'])},,,,\n"
-            else:
-                text = _json_doc("batch", header, rows, summary=summary)
-            _emit(text, args.out)
-            return 0
-        if args.command == "eof":
-            grid = ([i / 100 for i in range(101)] if args.p_list is None
-                    else _parse_p_list(args.p_list))
-            header, rows = cmd_eof(grid)
-            text = (_csv("eof", header, rows) if args.format == "csv"
-                    else _json_doc("eof", header, rows))
-            _emit(text, args.out)
-            return 0
-        raise UsageError(f"unknown command {args.command!r}")
-    except ValueError as exc:  # UsageError included
+        result = args.run(args)
+        if isinstance(result[0], dict):  # oracle-check's (report, exit code)
+            report, code = result
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        else:
+            code, text = 0, _render(args.command, args.format, *result)
+        _emit(text, args.out)
+    except (UsageError, OSError) as exc:  # OSError: --out cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, ArithmeticError) as exc:  # a broken invariant, not bad input
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
+    return code
 
 
 if __name__ == "__main__":

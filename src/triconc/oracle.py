@@ -49,6 +49,7 @@ __all__ = [
     "apply_local_circuit",
     "entanglement_delta",
     "compression_circuit_n2",
+    "verify_n2_circuit",
 ]
 
 #: Dense vectors stop here: 4**10 amplitudes (8 MB in float64) is desk-scale.
@@ -409,8 +410,8 @@ def compression_circuit_n2() -> LocalCircuit:
     1) on the Bell-encoded logical bits; Z on one side's pair-1 qubit is
     a logical NOT of pair 1.  Net logical action: (a, b) -> (a, a xor b
     xor 1), which sends theta.tau -> theta.theta and tau.theta ->
-    tau.theta as the relabeling requires.  The verification against the
-    explicit codebook is in the test suite and `triconc oracle-check`.
+    tau.theta as the relabeling requires; :func:`verify_n2_circuit`
+    checks it against the explicit codebook.
     """
     return LocalCircuit(
         gates=(
@@ -419,3 +420,26 @@ def compression_circuit_n2() -> LocalCircuit:
             Gate(side="B", kind="Z", target=1),
         )
     )
+
+
+def verify_n2_circuit() -> tuple[float, dict[tuple[int, ...], tuple[int, ...]]]:
+    """Run :func:`compression_circuit_n2` on the four Bell-encoded logical
+    basis strings; return the worst infidelity to each output's nearest
+    logical string (1.0 if an input pinned by ``ubc_codebook(2, 1)`` lands
+    elsewhere) and each input's image.  The circuit implements the
+    relabeling when that infidelity is negligible and the images distinct.
+    """
+    enc = PairEncoding.bell()
+    circuit = compression_circuit_n2()
+    pinned = dict(ubc_codebook(2, 1))
+    logical = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    worst = 0.0
+    images = {}
+    for bits in logical:
+        out = apply_local_circuit(string_state(bits, enc), circuit).amps
+        fid = {c: abs(np.vdot(string_state(c, enc).amps, out)) for c in logical}
+        images[bits] = max(logical, key=fid.__getitem__)  # first on ties
+        worst = max(worst, 1.0 - fid[images[bits]])
+        if bits in pinned and images[bits] != pinned[bits]:
+            worst = 1.0
+    return worst, images

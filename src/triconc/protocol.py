@@ -62,6 +62,8 @@ class BatchConfig:
             raise ValueError(f"need 0 < epsilon < 1, got {self.epsilon}")
         if self.max_batches < 1:
             raise ValueError(f"need max_batches >= 1, got {self.max_batches}")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,8 @@ def sample_k(n: int, p: float, rng: np.random.Generator) -> int:
 def typical_mass(n: int, p: float, c: float) -> float:
     """Binomial mass inside the window n*p +- c*sqrt(n).
 
-    Exact binomial coefficients, float powers; large n goes through
-    log space to dodge float overflow of the coefficient.
+    Exact binomial coefficients, summed in log space so that large n
+    cannot overflow a float.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -118,24 +120,16 @@ def typical_mass(n: int, p: float, c: float) -> float:
         raise ValueError(f"probability out of [0, 1]: {p}")
     if c <= 0.0:
         raise ValueError(f"need c > 0, got {c}")
+    if p in (0.0, 1.0):
+        return 1.0  # all mass sits on k = n*p, the window's centre
     half = c * math.sqrt(n)
     lo = max(0, math.ceil(n * p - half))
     hi = min(n, math.floor(n * p + half))
     total = 0.0
     for k in range(lo, hi + 1):
-        if p == 0.0:
-            total += 1.0 if k == 0 else 0.0
-        elif p == 1.0:
-            total += 1.0 if k == n else 0.0
-        elif n <= 900:  # C(900, 450) still fits a float
-            total += binom(n, k) * p**k * (1.0 - p) ** (n - k)
-        else:
-            log2_term = (
-                log2_big(binom(n, k))
-                + k * math.log2(p)
-                + (n - k) * math.log2(1.0 - p)
-            )
-            total += 2.0**log2_term
+        total += 2.0 ** (
+            log2_big(binom(n, k)) + k * math.log2(p) + (n - k) * math.log2(1.0 - p)
+        )
     return min(total, 1.0)
 
 
@@ -221,12 +215,8 @@ def gamma_state_direct(l: int, eps_prime_count: int, tail_pairs: int) -> float:
     encoding every tail pair adds exactly one ebit.  Built densely and
     measured via the oracle, so the scale is capped at 10 pairs.
     """
-    if l < 0 or l > 12:
-        raise ValueError(f"need 0 <= l <= 12, got {l}")
-    if not 0 <= eps_prime_count < (1 << l) or (l == 0 and eps_prime_count != 0):
-        raise ValueError(
-            f"eps_prime_count must lie in [0, 2^l - 1], got {eps_prime_count}"
-        )
+    if l < 0:
+        raise ValueError(f"need l >= 0, got {l}")
     if tail_pairs < 0:
         raise ValueError(f"need tail_pairs >= 0, got {tail_pairs}")
     total_pairs = 1 + l + tail_pairs
@@ -234,12 +224,13 @@ def gamma_state_direct(l: int, eps_prime_count: int, tail_pairs: int) -> float:
         raise ValueError(
             f"{total_pairs} pairs exceeds the dense cap of {MAX_DENSE_PAIRS}"
         )
+    if not 0 <= eps_prime_count < (1 << l):
+        raise ValueError(
+            f"eps_prime_count must lie in [0, 2^l - 1], got {eps_prime_count}"
+        )
+    # j < 2^l: theta prefix and codeword j; then tau prefix and codeword j - 2^l
     tail = [0] * tail_pairs
-    strings = []
-    for j in range(1 << l):
-        strings.append(tuple([0] + _bits(j, l) + tail))
-    for j in range(eps_prime_count):
-        strings.append(tuple([1] + _bits(j, l) + tail))
+    strings = [tuple(_bits(j, l + 1) + tail) for j in range((1 << l) + eps_prime_count)]
     state = superpose_strings(strings, PairEncoding.bell())
     return entropy_of(schmidt_spectrum(state))
 

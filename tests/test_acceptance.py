@@ -31,11 +31,9 @@ from triconc import (
     PairEncoding,
     TestStateSpec,
     amplitude_table,
-    apply_local_circuit,
     apply_ubc,
     binom,
     build_test_state,
-    compression_circuit_n2,
     e_in,
     e_out,
     entanglement_delta,
@@ -46,10 +44,10 @@ from triconc import (
     schmidt_spectrum,
     shannon_h,
     slope_fit,
-    string_state,
     superpose_strings,
     superposition_bound,
     ubc_codebook,
+    verify_n2_circuit,
 )
 
 BELL = PairEncoding.bell()
@@ -240,26 +238,14 @@ def test_c06_exact_normalization_to_n100():
 def test_c07_two_pair_relabeling_by_one_sided_gates():
     """A circuit of B-local and C-local gates reproduces the n=2 relabeling
     on all four logical basis states with fidelity 1 - 1e-10."""
-    circuit = compression_circuit_n2()
-    pinned = dict(ubc_codebook(2, 1))
-    worst = 0.0
-    outputs = []
-    for bits in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        out = apply_local_circuit(string_state(bits, BELL), circuit)
-        best_bits, best_fid = None, -1.0
-        for cand in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            fid = abs(np.vdot(string_state(cand, BELL).amps, out.amps))
-            if fid > best_fid:
-                best_bits, best_fid = cand, fid
-        outputs.append(best_bits)
-        worst = max(worst, 1.0 - best_fid)
-        if bits in pinned:
-            assert best_bits == pinned[bits], (bits, best_bits)
-    distinct = len(set(outputs)) == 4
+    worst, images = verify_n2_circuit()
+    distinct = len(set(images.values())) == 4
     ok = worst < 1e-10 and distinct
     _report("c07 n=2 one-sided-gates relabeling", ok,
             f"worst infidelity {worst:.2e}, images "
-            f"{dict(zip(['tt', 'tT', 'Tt', 'TT'], outputs))}")
+            f"{dict(zip(['tt', 'tT', 'Tt', 'TT'], images.values()))}")
+    for perm, image in ubc_codebook(2, 1):
+        assert images[perm] == image, (perm, images[perm])
     assert worst < 1e-10
     assert distinct
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from triconc import cli
+from triconc import cli, oracle
 from triconc.protocol import BatchConfig
 
 
@@ -94,6 +94,12 @@ class TestFig3:
         assert code == 2
         assert "p-list" in capsys.readouterr().err
 
+    def test_non_integral_n_p_rejected_as_usage(self, tmp_path, capsys):
+        code, _ = run_cli(["fig3", "--p-list", "0.3333333433", "--n-max", "30"],
+                          tmp_path)
+        assert code == 2
+        assert "not an integer" in capsys.readouterr().err
+
     def test_full_grid_slopes(self, tmp_path):
         code, text = run_cli(
             ["fig3", "--p-list", "0.5,0.8", "--n-max", "500"], tmp_path
@@ -139,6 +145,16 @@ class TestOracleCheck:
         assert abs(entry41["e_in_formula"] - 3.0) < 1e-12
         assert abs(entry41["e_out_formula"] - 2.0) < 1e-12
         assert entry41["e_out_delta"] < 1e-10
+
+    def test_wrong_circuit_fails_the_n2_check(self, tmp_path, monkeypatch):
+        cnots_only = oracle.LocalCircuit(oracle.compression_circuit_n2().gates[:2])
+        monkeypatch.setattr(oracle, "compression_circuit_n2", lambda: cnots_only)
+        code, text = run_cli(["oracle-check", "--n-max", "2"], tmp_path, "r.json")
+        report = json.loads(text)
+        assert code == 1
+        assert report["n2_locc"] == "fail"
+        assert report["n2_locc_detail"]["worst_infidelity"] == 1.0
+        assert report["failures"] == [{"check": "n2_locc"}]
 
     def test_oversized_n_rejected(self, tmp_path, capsys):
         code, _ = run_cli(["oracle-check", "--n-max", "9"], tmp_path)
@@ -233,3 +249,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             cli.main(["fig2", "--p", "0.5", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["batch", "--epsilon", "2"],
+        ["--seed", "-1", "batch", "--epsilon", "0.1", "--trials", "2"],
+    ])
+    def test_bad_batch_config_exits_2(self, args, tmp_path, capsys):
+        code, _ = run_cli(args, tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: need ")
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code = cli.main(["eof", "--p-list", "0.5", "--out", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("exc", [ValueError, ArithmeticError])
+    def test_internal_fault_exits_3(self, exc, tmp_path, monkeypatch, capsys):
+        def broken(p):
+            raise exc("invariant violated")
+
+        monkeypatch.setattr(cli.eof_mod, "ledger", broken)
+        code, text = run_cli(["eof", "--p-list", "0.5"], tmp_path)
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err.startswith("internal error: ")

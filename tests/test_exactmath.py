@@ -11,6 +11,8 @@ import random
 from decimal import Decimal, getcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triconc.exactmath import binom, inner_sum, inner_sum_table, log2_big, shannon_h
 
@@ -35,6 +37,12 @@ def _h_decimal(p: str) -> float:
         if v != 0:
             total -= v * v.ln() / ln2
     return float(total)
+
+
+@st.composite
+def _n_k_i(draw, n_max):
+    n = draw(st.integers(1, n_max))
+    return n, draw(st.integers(0, n)), draw(st.integers(0, n))
 
 
 class TestBinom:
@@ -151,6 +159,13 @@ class TestInnerSum:
                 for i in range(n + 1):
                     assert inner_sum(n, k, n - i) == (-1) ** k * inner_sum(n, k, i)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_n_k_i(300))
+    def test_reciprocity(self, nki):
+        # C(n,i) S_i(n,k) = C(n,k) S_k(n,i): the Krawtchouk reciprocity
+        n, k, i = nki
+        assert binom(n, i) * inner_sum(n, k, i) == binom(n, k) * inner_sum(n, i, k)
+
     def test_exact_normalization_direct_route(self):
         # sum_i C(n,i) S_i^2 == 2^n C(n,k), via the direct alternating sums
         for n in range(1, 31):
@@ -173,6 +188,12 @@ class TestInnerSumTable:
         table = inner_sum_table(n, k)
         for i in (0, 1, 2, n // 3, n // 2, n - 1, n):
             assert table[i] == inner_sum(n, k, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_n_k_i(400))
+    def test_matches_direct_at_random_n(self, nki):
+        n, k, i = nki
+        assert inner_sum_table(n, k)[i] == inner_sum(n, k, i)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

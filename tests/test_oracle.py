@@ -240,6 +240,21 @@ class TestApplyUbc:
     def test_codebook_n2_k1(self):
         assert dict(ubc_codebook(2, 1)) == {(0, 1): (0, 0), (1, 0): (1, 0)}
 
+    def test_codebook_injective_on_minimal_width_up_to_twelve_pairs(self):
+        # every (n, k) with n <= 12: the j-th lexicographic weight-k string
+        # maps to j in binary on ceil(log2 C(n, k)) leading pairs, theta after
+        for n in range(1, 13):
+            for k in range(n + 1):
+                count = math.comb(n, k)
+                width = math.ceil(math.log2(count))
+                book = ubc_codebook(n, k)
+                perms = [perm for perm, _ in book]
+                assert perms == sorted(set(perms)) and len(perms) == count
+                assert all(len(p) == n and sum(p) == k for p in perms)
+                assert all(len(im) == n and not any(im[width:]) for _, im in book)
+                codes = [int("".join(map(str, im[:width])) or "0", 2) for _, im in book]
+                assert codes == list(range(count))
+
     def test_basis_states_map_to_image_states(self):
         for n, k in [(4, 1), (2, 1), (5, 2)]:
             for perm, image in ubc_codebook(n, k):

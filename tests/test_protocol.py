@@ -221,6 +221,8 @@ class TestGammaStateDirect:
             gamma_state_direct(2, 4, 0)  # count = 2^l means eps' = 1
         with pytest.raises(ValueError):
             gamma_state_direct(3, 1, 20)  # pairs over the dense cap
+        with pytest.raises(ValueError):
+            gamma_state_direct(10**6, 0, 0)  # rejected before 2^l is built
 
 
 def _bits(j: int, width: int) -> list[int]:
