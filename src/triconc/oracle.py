@@ -11,7 +11,9 @@ the B|C cut wants.
 The module knows nothing about closed forms: it builds permutation test
 states explicitly, extracts Schmidt spectra by SVD, applies the
 compression relabeling as an explicit change of basis, and simulates
-one-sided circuits as dense unitaries.  Every state, test state and
+one-sided circuits gate by gate: each gate's 2x2 (or, for CNOT, 4x4)
+matrix is contracted with the qubit axes it acts on, so no operator as
+large as the state is ever formed.  Every state, test state and
 relabeled image alike, is built the same way: a ``(2,)*n`` tensor of
 logical theta/tau coefficients mapped to amplitudes by that change of
 basis.  Storage is real (float64) by default, since the stock encodings
@@ -136,22 +138,36 @@ class SchmidtSpectrum:
         return sum(v * m for v, m in self.probs)
 
 
+#: The gate kinds and their matrices, indexed [out, in].  A 4x4 entry acts
+#: on (control, target) with the control as the more significant bit.
+_GATE_MATRICES = {
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Z": np.diag([1.0, -1.0]),
+    "H": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
+    "CNOT": np.eye(4)[[0, 1, 3, 2]],  # |10> <-> |11>
+}
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate acting on a single side's qubits, pair-indexed."""
 
     side: str  # "B" or "C"
-    kind: str  # "CNOT", "X", "Z", "H"
+    kind: str  # a key of _GATE_MATRICES: "CNOT", "X", "Z", "H"
     target: int
     control: int | None = None
 
     def __post_init__(self) -> None:
         if self.side not in ("B", "C"):
             raise ValueError(f"side must be 'B' or 'C', got {self.side!r}")
-        if self.kind not in ("CNOT", "X", "Z", "H"):
+        if self.kind not in _GATE_MATRICES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if (self.kind == "CNOT") != (self.control is not None):
             raise ValueError("control index is required for CNOT and only CNOT")
+        if self.target < 0 or (self.control is not None and self.control < 0):
+            raise ValueError(f"gate {self} has a negative pair index")
+        if self.control == self.target:
+            raise ValueError("CNOT control and target must differ")
 
 
 @dataclass(frozen=True)
@@ -349,49 +365,25 @@ def apply_ubc(
     return _from_logical(mapped, n, enc)
 
 
-def _side_unitary(gate: Gate, n: int) -> np.ndarray:
-    dim = 1 << n
-    if gate.target >= n or (gate.control is not None and gate.control >= n):
-        raise ValueError(f"gate {gate} addresses a pair index >= {n}")
-    t_bit = 1 << (n - 1 - gate.target)
-    if gate.kind == "CNOT":
-        if gate.control == gate.target:
-            raise ValueError("CNOT control and target must differ")
-        c_bit = 1 << (n - 1 - gate.control)
-        src = np.arange(dim)
-        dst = np.where(src & c_bit, src ^ t_bit, src)
-        u = np.zeros((dim, dim))
-        u[dst, src] = 1.0
-        return u
-    if gate.kind == "X":
-        src = np.arange(dim)
-        u = np.zeros((dim, dim))
-        u[src ^ t_bit, src] = 1.0
-        return u
-    if gate.kind == "Z":
-        phases = np.where(np.arange(dim) & t_bit, -1.0, 1.0)
-        return np.diag(phases)
-    # H
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    u = np.ones((1, 1))
-    for j in range(n):
-        u = np.kron(u, h if j == gate.target else np.eye(2))
-    return u
-
-
 def apply_local_circuit(
     state: PureStateVector, circuit: LocalCircuit
 ) -> PureStateVector:
-    """Apply each gate as a unitary on its side's qubits only."""
+    """Apply each gate's matrix to its side's qubits only.
+
+    The amplitudes are viewed as a ``(2,)*2n`` tensor with axes b_0..b_{n-1},
+    c_0..c_{n-1}; a gate on side C and pair j acts on axis n + j.
+    """
     n = state.n_pairs
-    m = state.as_matrix().copy()
+    t = state.amps.reshape((2,) * (2 * n)).copy()  # the output never aliases the input
     for gate in circuit.gates:
-        u = _side_unitary(gate, n)
-        if gate.side == "B":
-            m = u @ m
-        else:
-            m = m @ u.T  # columns are C bitstrings: |c> -> U|c>
-    return PureStateVector(n_pairs=n, amps=m.reshape(-1))
+        pairs = (gate.target,) if gate.control is None else (gate.control, gate.target)
+        if max(pairs) >= n:
+            raise ValueError(f"gate {gate} addresses a pair index >= {n}")
+        axes = [j + n if gate.side == "C" else j for j in pairs]
+        q = len(pairs)
+        u = _GATE_MATRICES[gate.kind].reshape((2,) * (2 * q))  # out axes, in axes
+        t = np.moveaxis(np.tensordot(u, t, axes=(range(q, 2 * q), axes)), range(q), axes)
+    return PureStateVector(n_pairs=n, amps=t.reshape(-1))
 
 
 def entanglement_delta(state_in: PureStateVector, state_out: PureStateVector) -> float:

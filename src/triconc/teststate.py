@@ -88,11 +88,11 @@ class AmplitudeTable:
     xi_sq: tuple[Fraction, ...]
 
     def normalization(self) -> Fraction:
-        """Exact value of sum_i C(n, i) * xi_sq[i]; equals 1 by construction."""
-        return sum(
-            (binom(self.n, i) * q for i, q in enumerate(self.xi_sq)),
-            start=Fraction(0),
-        )
+        """Exact value of sum_i C(n, i) * xi_sq[i]; equals 1 by construction.
+
+        Computed as one integer sum of C(n, i) s[i]^2, reduced once."""
+        total = sum(binom(self.n, i) * v * v for i, v in enumerate(self.s))
+        return Fraction(total, (1 << self.n) * binom(self.n, self.k))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triconc import cli, oracle
 from triconc.protocol import BatchConfig
@@ -275,3 +279,29 @@ class TestUsage:
         assert code == 3
         assert text == ""
         assert capsys.readouterr().err.startswith("internal error: ")
+
+
+#: Valid argv for the commands whose output depends on flags and --seed only:
+#: fig2 on a grid p, batch at a random epsilon and seed, eof on a random p-list.
+VALID_ARGV = st.one_of(
+    st.tuples(st.sampled_from([0.1, 0.2, 0.25, 0.5, 0.75, 0.8]), st.integers(10, 60)).map(
+        lambda a: ["fig2", "--p", repr(a[0]), "--n-max", str(a[1])]),
+    st.tuples(st.floats(0.01, 0.5), st.integers(1, 5), st.integers(0, 2**32 - 1)).map(
+        lambda a: ["--seed", str(a[2]), "batch", "--epsilon", repr(a[0]),
+                   "--trials", str(a[1])]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(
+        lambda ps: ["eof", "--p-list", ",".join(map(repr, ps))]),
+)
+
+
+class TestReruns:
+    @settings(max_examples=40, deadline=None)
+    @given(argv=VALID_ARGV, fmt=st.sampled_from(["csv", "json"]))
+    def test_byte_identical_over_random_flags(self, argv, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = []
+            for name in ("a", "b"):
+                path = Path(tmp) / name
+                assert cli.main(["--format", fmt, *argv, "--out", str(path)]) == 0
+                outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] != b""

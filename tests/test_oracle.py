@@ -59,6 +59,59 @@ def max_dev(state: PureStateVector, ref: np.ndarray) -> float:
     return float(np.max(np.abs(state.amps - ref)))
 
 
+def dense_gate_reference(gate: Gate, n: int) -> np.ndarray:
+    """The 2^n x 2^n unitary of one gate on its side's n qubits, pair 0 the
+    most significant bit: index arithmetic for CNOT, X and Z, an n-fold kron
+    for H."""
+    dim = 1 << n
+    t_bit = 1 << (n - 1 - gate.target)
+    if gate.kind == "CNOT":
+        c_bit = 1 << (n - 1 - gate.control)
+        src = np.arange(dim)
+        dst = np.where(src & c_bit, src ^ t_bit, src)
+        u = np.zeros((dim, dim))
+        u[dst, src] = 1.0
+        return u
+    if gate.kind == "X":
+        src = np.arange(dim)
+        u = np.zeros((dim, dim))
+        u[src ^ t_bit, src] = 1.0
+        return u
+    if gate.kind == "Z":
+        phases = np.where(np.arange(dim) & t_bit, -1.0, 1.0)
+        return np.diag(phases)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    u = np.ones((1, 1))
+    for j in range(n):
+        u = np.kron(u, h if j == gate.target else np.eye(2))
+    return u
+
+
+def dense_circuit_reference(state: PureStateVector, circuit: LocalCircuit) -> np.ndarray:
+    """Amplitudes after the circuit, each gate a dense matrix product on the
+    (B, C) amplitude matrix."""
+    m = state.as_matrix()
+    for gate in circuit.gates:
+        u = dense_gate_reference(gate, state.n_pairs)
+        m = u @ m if gate.side == "B" else m @ u.T  # columns are C bitstrings
+    return m.reshape(-1)
+
+
+@st.composite
+def local_circuits(draw) -> tuple[int, LocalCircuit]:
+    """A pair count n <= 4 and up to six gates of every kind on both sides."""
+    n = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["CNOT", "X", "Z", "H"] if n > 1 else ["X", "Z", "H"]))
+        target = draw(st.integers(0, n - 1))
+        control = (draw(st.integers(0, n - 1).filter(lambda c: c != target))
+                   if kind == "CNOT" else None)
+        gates.append(Gate(side=draw(st.sampled_from("BC")), kind=kind,
+                          target=target, control=control))
+    return n, LocalCircuit(gates=tuple(gates))
+
+
 class TestPairEncoding:
     def test_bell_pair_amplitudes(self):
         s = 1 / math.sqrt(2)
@@ -375,16 +428,40 @@ class TestLocalCircuits:
             assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
             assert entanglement_delta(state, out) < 1e-10
 
+    @settings(max_examples=150, deadline=None)
+    @given(circuit=local_circuits(), seed=st.integers(0, 2**32 - 1),
+           complex_amps=st.booleans())
+    def test_matches_dense_gate_reference(self, circuit, seed, complex_amps):
+        n, circuit = circuit
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=4**n)
+        if complex_amps:
+            amps = amps + 1j * rng.normal(size=4**n)
+        state = PureStateVector(n_pairs=n, amps=amps / np.linalg.norm(amps))
+        out = apply_local_circuit(state, circuit)
+        assert out.amps.dtype == state.amps.dtype
+        assert not np.shares_memory(out.amps, state.amps)
+        assert max_dev(out, dense_circuit_reference(state, circuit)) < 1e-12
+
     def test_gate_validation(self):
-        with pytest.raises(ValueError):
-            Gate(side="Q", kind="X", target=0)
-        with pytest.raises(ValueError):
-            Gate(side="B", kind="CNOT", target=0)  # missing control
-        with pytest.raises(ValueError):
-            Gate(side="B", kind="X", target=0, control=1)
-        circuit = LocalCircuit(gates=(Gate(side="B", kind="X", target=5),))
-        with pytest.raises(ValueError, match="pair index"):
-            apply_local_circuit(string_state((0,), BELL), circuit)
+        for kwargs in (
+            dict(side="Q", kind="X", target=0),
+            dict(side="B", kind="Y", target=0),
+            dict(side="B", kind="CNOT", target=0),  # missing control
+            dict(side="B", kind="X", target=0, control=1),
+            dict(side="B", kind="Z", target=-1),
+            dict(side="C", kind="H", target=-1),
+            dict(side="B", kind="X", target=-1),
+            dict(side="B", kind="CNOT", control=-1, target=0),
+            dict(side="C", kind="CNOT", control=0, target=-1),
+            dict(side="B", kind="CNOT", control=1, target=1),
+        ):
+            with pytest.raises(ValueError):
+                Gate(**kwargs)
+        for gate in (Gate(side="B", kind="X", target=5),
+                     Gate(side="C", kind="CNOT", control=0, target=1)):
+            with pytest.raises(ValueError, match="pair index"):
+                apply_local_circuit(string_state((0,), BELL), LocalCircuit(gates=(gate,)))
 
 
 class TestFormulaOracleEquivalence:

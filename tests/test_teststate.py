@@ -78,6 +78,7 @@ class TestAmplitudeTable:
             for k in range(n + 1):
                 table = amplitude_table(bell_spec(n, k))
                 assert table.normalization() == 1
+                assert sum(binom(n, i) * q for i, q in enumerate(table.xi_sq)) == 1
                 assert all(q >= 0 for q in table.xi_sq)
 
     def test_normalization_method_matches_integer_identity(self):
