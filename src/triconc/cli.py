@@ -154,7 +154,7 @@ def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
             spec = teststate.TestStateSpec(n=n, k=k, encoding=teststate.Encoding.BELL)
             e_in_f = teststate.e_in(spec)
             e_out_f = teststate.e_out(spec)
-            state = oracle.build_test_state(spec, bell)
+            state = oracle.build_test_state(spec)
             e_in_o = oracle.entropy_of(oracle.schmidt_spectrum(state))
             out_state = oracle.apply_ubc(state, n, k, bell)
             e_out_o = oracle.entropy_of(oracle.schmidt_spectrum(out_state))
@@ -168,7 +168,7 @@ def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
             pspec = teststate.TestStateSpec(
                 n=n, k=k, encoding=teststate.Encoding.PRODUCT
             )
-            pstate = oracle.build_test_state(pspec, prod)
+            pstate = oracle.build_test_state(pspec)
             pout = oracle.apply_ubc(pstate, n, k, prod)
             prod_delta = oracle.entanglement_delta(pstate, pout)
             entry = {

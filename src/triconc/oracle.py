@@ -13,9 +13,10 @@ states explicitly, extracts Schmidt spectra by SVD, applies the
 compression relabeling as an explicit change of basis, and simulates
 one-sided circuits gate by gate: each gate's 2x2 (or, for CNOT, 4x4)
 matrix is contracted with the qubit axes it acts on, so no operator as
-large as the state is ever formed.  Every state, test state and
-relabeled image alike, is built the same way: a ``(2,)*n`` tensor of
-logical theta/tau coefficients mapped to amplitudes by that change of
+large as the state is ever formed.  Single strings and test states are
+uniform superpositions of strings (:func:`superpose_strings`), and every
+state, relabeled images too, is built the same way: a ``(2,)*n`` tensor
+of logical theta/tau coefficients mapped to amplitudes by that change of
 basis.  Storage is real (float64) by default, since the stock encodings
 and gates are real; the dtype follows the encoding, so a caller-built
 complex :class:`PairEncoding` gives complex states.  Everything is
@@ -42,6 +43,7 @@ __all__ = [
     "LocalCircuit",
     "string_state",
     "superpose_strings",
+    "codewords",
     "build_test_state",
     "schmidt_spectrum",
     "entropy_of",
@@ -98,10 +100,6 @@ class PairEncoding:
             theta=np.array([[1.0, 0.0], [0.0, 0.0]]),
             tau=np.array([[0.0, 0.0], [0.0, 1.0]]),
         )
-
-    @classmethod
-    def for_encoding(cls, encoding: Encoding) -> "PairEncoding":
-        return cls.bell() if encoding is Encoding.BELL else cls.product()
 
 
 @dataclass(frozen=True, eq=False)  # ndarray field: no element-wise __eq__
@@ -190,20 +188,9 @@ def _logical_index(strings: list[tuple[int, ...]], n: int) -> tuple[np.ndarray, 
     return tuple(index.T)
 
 
-def _uniform_state(
-    strings: list[tuple[int, ...]], n: int, enc: PairEncoding
-) -> PureStateVector:
-    # Distinct strings are orthonormal, so equal logical coefficients
-    # 1/sqrt(count) give a normalized state.
-    logical = np.zeros((2,) * n)
-    logical[_logical_index(strings, n)] = 1.0 / math.sqrt(len(strings))
-    return _from_logical(logical, n, enc)
-
-
 def string_state(bits: tuple[int, ...], enc: PairEncoding) -> PureStateVector:
     """Product state with pair j in tau if bits[j] else theta."""
-    _check_cap(len(bits))
-    return _uniform_state([bits], len(bits), enc)
+    return superpose_strings([tuple(bits)], enc)
 
 
 def superpose_strings(
@@ -218,7 +205,11 @@ def superpose_strings(
     if len(set(strings)) != len(strings):
         raise ValueError("strings must be distinct")
     _check_cap(n)
-    return _uniform_state(strings, n, enc)
+    # Distinct strings are orthonormal, so equal logical coefficients
+    # 1/sqrt(count) give a normalized state.
+    logical = np.zeros((2,) * n)
+    logical[_logical_index(strings, n)] = 1.0 / math.sqrt(len(strings))
+    return _from_logical(logical, n, enc)
 
 
 def permutation_strings(n: int, k: int) -> list[tuple[int, ...]]:
@@ -233,11 +224,19 @@ def permutation_strings(n: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def build_test_state(spec: TestStateSpec, enc: PairEncoding | None = None) -> PureStateVector:
-    """Uniform superposition over all C(n, k) permutation strings."""
+def codewords(count: int, width: int, n: int) -> list[tuple[int, ...]]:
+    """The integers 0..count-1 as width-bit strings, most significant bit
+    first, each padded with theta (0) to length n."""
+    pad = [0] * (n - width)
+    return [tuple([(j >> (width - 1 - a)) & 1 for a in range(width)] + pad)
+            for j in range(count)]
+
+
+def build_test_state(spec: TestStateSpec) -> PureStateVector:
+    """Uniform superposition over all C(n, k) permutation strings, in the
+    pair encoding the spec names."""
     _check_cap(spec.n)  # before enumerating C(n, k) strings
-    if enc is None:
-        enc = PairEncoding.for_encoding(spec.encoding)
+    enc = PairEncoding.bell() if spec.encoding is Encoding.BELL else PairEncoding.product()
     return superpose_strings(permutation_strings(spec.n, spec.k), enc)
 
 
@@ -289,12 +288,7 @@ def ubc_codebook(n: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     """
     perms = permutation_strings(n, k)
     count = len(perms)
-    width = (count - 1).bit_length() if count > 1 else 0
-    images = []
-    for j in range(count):
-        bits = [(j >> (width - 1 - a)) & 1 for a in range(width)]
-        images.append(tuple(bits + [0] * (n - width)))
-    return list(zip(perms, images))
+    return list(zip(perms, codewords(count, (count - 1).bit_length(), n)))
 
 
 def _pair_major(amps: np.ndarray, n: int) -> np.ndarray:
@@ -424,7 +418,7 @@ def verify_n2_circuit() -> tuple[float, dict[tuple[int, ...], tuple[int, ...]]]:
     enc = PairEncoding.bell()
     circuit = compression_circuit_n2()
     pinned = dict(ubc_codebook(2, 1))
-    logical = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    logical = codewords(4, 2, 2)
     worst = 0.0
     images = {}
     for bits in logical:

@@ -22,6 +22,7 @@ from .exactmath import binom, log2_big, shannon_h
 from .oracle import (
     MAX_DENSE_PAIRS,
     PairEncoding,
+    codewords,
     entropy_of,
     schmidt_spectrum,
     superpose_strings,
@@ -118,11 +119,11 @@ def typical_mass(n: int, p: float, c: float) -> float:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of [0, 1]: {p}")
-    if c <= 0.0:
-        raise ValueError(f"need c > 0, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"need finite c > 0, got {c}")
     if p in (0.0, 1.0):
         return 1.0  # all mass sits on k = n*p, the window's centre
-    half = c * math.sqrt(n)
+    half = min(c * math.sqrt(n), n)  # wider windows hold the same weights
     lo = max(0, math.ceil(n * p - half))
     hi = min(n, math.floor(n * p + half))
     total = 0.0
@@ -200,8 +201,8 @@ def superposition_bound(alpha_sq: float, e1: float, e2: float) -> float:
     """
     if not 0.0 <= alpha_sq <= 1.0:
         raise ValueError(f"alpha_sq out of [0, 1]: {alpha_sq}")
-    if e1 < 0.0 or e2 < 0.0:
-        raise ValueError("entanglements must be nonnegative")
+    if not (0.0 <= e1 < math.inf and 0.0 <= e2 < math.inf):
+        raise ValueError(f"entanglements must be finite and nonnegative, got {e1}, {e2}")
     return 2.0 * (alpha_sq * e1 + (1.0 - alpha_sq) * e2 + shannon_h(alpha_sq))
 
 
@@ -229,11 +230,6 @@ def gamma_state_direct(l: int, eps_prime_count: int, tail_pairs: int) -> float:
             f"eps_prime_count must lie in [0, 2^l - 1], got {eps_prime_count}"
         )
     # j < 2^l: theta prefix and codeword j; then tau prefix and codeword j - 2^l
-    tail = [0] * tail_pairs
-    strings = [tuple(_bits(j, l + 1) + tail) for j in range((1 << l) + eps_prime_count)]
+    strings = codewords((1 << l) + eps_prime_count, l + 1, total_pairs)
     state = superpose_strings(strings, PairEncoding.bell())
     return entropy_of(schmidt_spectrum(state))
-
-
-def _bits(j: int, width: int) -> list[int]:
-    return [(j >> (width - 1 - a)) & 1 for a in range(width)]

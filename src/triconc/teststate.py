@@ -14,7 +14,9 @@ squared Schmidt coefficient of a weight-i string is
 
     xi_i^2 = S_i^2 / (2^n * C(n, k)),
 
-with S_i the exact alternating sum from :mod:`triconc.exactmath`.  The
+with S_i the exact alternating sum from :mod:`triconc.exactmath`.  An
+:class:`AmplitudeTable` stores only the integers S_i (S_0 = C(n, k)) and
+derives the rationals, the normalization and the entropy from them.  The
 input entanglement is the entropy of that spectrum; the output
 entanglement after the compression relabeling is n - log2 C(n, k) in
 the power-of-two idealization (the stochastic correction for general
@@ -77,22 +79,44 @@ class TestStateSpec:
 class AmplitudeTable:
     """Exact amplitude data of a Bell-encoded test state.
 
-    s[i] is the signed integer inner sum for weight i; xi_sq[i] is the
-    exact rational squared amplitude S_i^2 / (2^n * C(n, k)).  The
-    multiplicity-weighted xi_sq sum over all weights is exactly 1.
+    s[i] is the signed integer inner sum for weight i, and s[0] = C(n, k).
+    Everything else is derived on access: xi_sq[i] is the exact rational
+    squared amplitude S_i^2 / (2^n * C(n, k)), whose multiplicity-weighted
+    sum over all weights is exactly 1, and entropy() is the B|C entropy.
     """
 
     n: int
     k: int
     s: tuple[int, ...]
-    xi_sq: tuple[Fraction, ...]
+
+    @property
+    def xi_sq(self) -> tuple[Fraction, ...]:
+        denom = (1 << self.n) * self.s[0]
+        return tuple(Fraction(v * v, denom) for v in self.s)
 
     def normalization(self) -> Fraction:
         """Exact value of sum_i C(n, i) * xi_sq[i]; equals 1 by construction.
 
         Computed as one integer sum of C(n, i) s[i]^2, reduced once."""
         total = sum(binom(self.n, i) * v * v for i, v in enumerate(self.s))
-        return Fraction(total, (1 << self.n) * binom(self.n, self.k))
+        return Fraction(total, (1 << self.n) * self.s[0])
+
+    def entropy(self) -> float:
+        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits.
+
+        Summed as (weight, log2) pairs so that xi_i^2 below float
+        underflow still counts."""
+        n, cnk = self.n, self.s[0]
+        denom = (1 << n) * cnk
+        log2_denom = n + log2_big(cnk)
+        total = 0.0
+        for i, si in enumerate(self.s):
+            if si == 0:
+                continue
+            sq = si * si
+            weight = (binom(n, i) * sq) / denom  # exact int ratio -> nearest float
+            total -= weight * (log2_big(sq) - log2_denom)
+        return total
 
 
 @dataclass(frozen=True)
@@ -103,7 +127,10 @@ class EntanglementReport:
     k: int
     e_in: float
     e_out: float
-    gap: float
+
+    @property
+    def gap(self) -> float:
+        return self.e_in - self.e_out
 
     def __post_init__(self) -> None:
         if not (-1e-9 <= self.e_in <= self.n + 1e-9):
@@ -134,27 +161,7 @@ def amplitude_table(spec: TestStateSpec) -> AmplitudeTable:
             "amplitude tables exist only for the Bell encoding; the product "
             "encoding has a flat spectrum of rank C(n, k)"
         )
-    n, k = spec.n, spec.k
-    s = inner_sum_table(n, k)
-    denom = (1 << n) * binom(n, k)
-    xi_sq = tuple(Fraction(v * v, denom) for v in s)
-    return AmplitudeTable(n=n, k=k, s=tuple(s), xi_sq=xi_sq)
-
-
-def _entropy_from_sums(n: int, k: int, s: list[int]) -> float:
-    # -sum_i C(n,i) xi^2 log2(xi^2) with xi^2 = s_i^2/(2^n C(n,k)), done in
-    # (weight, log2) pairs so that xi^2 below float underflow still counts.
-    cnk = binom(n, k)
-    denom = (1 << n) * cnk
-    log2_denom = n + log2_big(cnk)
-    total = 0.0
-    for i, si in enumerate(s):
-        if si == 0:
-            continue
-        sq = si * si
-        weight = (binom(n, i) * sq) / denom  # exact int ratio -> nearest float
-        total -= weight * (log2_big(sq) - log2_denom)
-    return total
+    return AmplitudeTable(n=spec.n, k=spec.k, s=tuple(inner_sum_table(spec.n, spec.k)))
 
 
 def e_in(spec: TestStateSpec) -> float:
@@ -167,7 +174,7 @@ def e_in(spec: TestStateSpec) -> float:
     """
     if spec.encoding is Encoding.PRODUCT:
         return log2_big(binom(spec.n, spec.k))
-    return _entropy_from_sums(spec.n, spec.k, inner_sum_table(spec.n, spec.k))
+    return amplitude_table(spec).entropy()
 
 
 def e_out(spec: TestStateSpec) -> float:
@@ -211,11 +218,7 @@ def gap_scan(p: float, n_list: list[int]) -> list[EntanglementReport]:
     for n in n_list:
         k = _k_for(n, p)
         spec = TestStateSpec(n=n, k=k, encoding=Encoding.BELL)
-        ein = e_in(spec)
-        eout = e_out(spec)
-        reports.append(
-            EntanglementReport(n=n, k=k, e_in=ein, e_out=eout, gap=ein - eout)
-        )
+        reports.append(EntanglementReport(n=n, k=k, e_in=e_in(spec), e_out=e_out(spec)))
     return reports
 
 

@@ -158,7 +158,7 @@ def test_c04_formula_vs_oracle_every_config():
     for n in range(1, 9):
         for k in range(n + 1):
             spec = TestStateSpec(n, k, Encoding.BELL)
-            state = build_test_state(spec, BELL)
+            state = build_test_state(spec)
             ein_oracle = entropy_of(schmidt_spectrum(state))
             worst_e_in = max(worst_e_in, abs(ein_oracle - e_in(spec)))
             out = apply_ubc(state, n, k, BELL)
@@ -209,7 +209,7 @@ def test_c05_product_encoding_reversibility():
         for k in range(n + 1):
             spec = TestStateSpec(n, k, Encoding.PRODUCT)
             worst_formula = max(worst_formula, abs(e_in(spec) - e_out(spec)))
-            state = build_test_state(spec, enc)
+            state = build_test_state(spec)
             out = apply_ubc(state, n, k, enc)
             worst_oracle = max(worst_oracle, entanglement_delta(state, out))
     ok = worst_formula < 1e-12 and worst_oracle < 1e-12

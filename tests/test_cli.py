@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triconc
 from triconc import cli, oracle
 from triconc.protocol import BatchConfig
 
@@ -279,6 +283,34 @@ class TestUsage:
         assert code == 3
         assert text == ""
         assert capsys.readouterr().err.startswith("internal error: ")
+
+
+class TestProcess:
+    """The documented exit codes as process exit codes of ``python -m``."""
+
+    @staticmethod
+    def run(*args):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(triconc.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "triconc.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_success_matches_in_process_output(self, capsys):
+        proc = self.run("eof", "--p-list", "0.5")
+        assert proc.returncode == 0
+        assert cli.main(["eof", "--p-list", "0.5"]) == 0
+        assert proc.stdout == capsys.readouterr().out != ""
+
+    def test_oracle_delta_exits_1(self):
+        proc = self.run("oracle-check", "--n-max", "3")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["all_within_tolerance"] is False
+
+    def test_unknown_flag_exits_2(self):
+        proc = self.run("eof", "--bogus")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --bogus" in proc.stderr
 
 
 #: Valid argv for the commands whose output depends on flags and --seed only:

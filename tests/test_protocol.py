@@ -75,9 +75,17 @@ class TestTypicalMass:
         assert typical_mass(25, 0.0, c=1.0) == 1.0
         assert typical_mass(25, 1.0, c=1.0) == 1.0
 
+    def test_window_past_float_range(self):
+        # c * sqrt(n) overflows to inf; the window still covers every k
+        assert typical_mass(25, 0.5, c=1e308) == typical_mass(25, 0.5, c=40.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             typical_mass(10, 0.5, c=0.0)
+        for p in (0.0, 0.5, 1.0):
+            for c in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="need finite c > 0"):
+                    typical_mass(25, p, c=c)
 
 
 class TestRunBatches:
@@ -169,6 +177,11 @@ class TestSuperpositionBound:
             superposition_bound(1.2, 1.0, 1.0)
         with pytest.raises(ValueError):
             superposition_bound(0.5, -1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                superposition_bound(0.5, bad, 1.0)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                superposition_bound(0.5, 1.0, bad)
 
 
 class TestGammaStateDirect:

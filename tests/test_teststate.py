@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from triconc.exactmath import binom, log2_big
+from triconc.exactmath import binom, inner_sum, log2_big
 from triconc.teststate import (
     Encoding,
     TestStateSpec,
@@ -110,6 +110,26 @@ class TestEntropies:
         for n in (1, 3, 7, 25):
             assert abs(e_in(bell_spec(n, 0)) - n) < 1e-12
             assert abs(e_out(bell_spec(n, 0)) - n) < 1e-12
+
+    def test_e_in_by_reciprocity_without_recurrence(self):
+        # Reciprocity C(n,i) S_i(n,k) = C(n,k) S_k(n,i) turns the weight
+        # C(n,i) xi_i^2 into S_k(n,i) S_i(n,k) / 2^n: both factors come from
+        # the direct inner_sum, so neither C(n,i) nor the recurrence behind
+        # amplitude_table enters this route.
+        configs = [(n, k) for n in range(1, 41) for k in range(n + 1)]
+        configs += [(n, k) for n in (100, 200, 300)
+                    for k in (1, 7, n // 5, n // 3, n // 2, n - 2)]
+        worst = 0.0
+        for n, k in configs:
+            log2_norm = n + math.log2(math.comb(n, k))
+            total = 0.0
+            for i in range(n + 1):
+                s = inner_sum(n, k, i)
+                if s:
+                    weight = s * inner_sum(n, i, k) / (1 << n)
+                    total -= weight * (2 * math.log2(abs(s)) - log2_norm)
+            worst = max(worst, abs(total - e_in(bell_spec(n, k))))
+        assert worst < 1e-12, worst
 
     def test_bounds(self):
         for n in range(1, 61, 7):
