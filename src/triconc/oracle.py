@@ -182,10 +182,10 @@ def _check_cap(n: int) -> None:
 
 def _logical_index(strings: list[tuple[int, ...]], n: int) -> tuple[np.ndarray, ...]:
     # One index array per pair, addressing every string in a (2,)*n tensor.
-    index = np.array(strings, dtype=np.intp).reshape(len(strings), n)
+    index = np.array(strings).reshape(len(strings), n)  # checked before the cast
     if np.any((index != 0) & (index != 1)):
         raise ValueError("string entries must be 0 (theta) or 1 (tau)")
-    return tuple(index.T)
+    return tuple(index.astype(np.intp).T)
 
 
 def string_state(bits: tuple[int, ...], enc: PairEncoding) -> PureStateVector:

@@ -164,6 +164,18 @@ class TestOracleCheck:
         assert report["n2_locc_detail"]["worst_infidelity"] == 1.0
         assert report["failures"] == [{"check": "n2_locc"}]
 
+    def test_wrong_relabeling_fails_the_isometry_check(self, tmp_path, monkeypatch):
+        # A logical NOT on pair 0 after the relabeling (Z on one side of a Bell
+        # pair) keeps it an isometry, but moves states off the codebook's images.
+        real = oracle.apply_ubc
+        flip = oracle.LocalCircuit((oracle.Gate("B", "Z", 0),))
+        monkeypatch.setattr(oracle, "apply_ubc",
+                            lambda *args: oracle.apply_local_circuit(real(*args), flip))
+        code, text = run_cli(["oracle-check", "--n-max", "3"], tmp_path, "r.json")
+        report = json.loads(text)
+        assert code == 1
+        assert "ubc_isometry_dev" in {f["check"] for f in report["failures"]}
+
     def test_oversized_n_rejected(self, tmp_path, capsys):
         code, _ = run_cli(["oracle-check", "--n-max", "9"], tmp_path)
         assert code == 2
@@ -273,7 +285,22 @@ class TestUsage:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("exc", [ValueError, ArithmeticError])
+    @pytest.mark.parametrize("argv", [["--seed", "08", "eof"], ["eof", "--seed", "x1"]])
+    def test_bad_seed_names_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        msg = capsys.readouterr().err
+        assert "--seed" in msg and "0xC0FFEE" in msg and "<lambda>" not in msg
+
+    def test_seed_accepts_prefixed_integers(self):
+        parse = cli._build_parser().parse_args
+        assert parse(["--seed", "0x10", "eof"]).seed == 16
+        assert parse(["eof", "--seed", "0o17"]).seed == 15
+        assert parse(["eof"]).seed == 0xC0FFEE
+
+    @pytest.mark.parametrize("exc", [ValueError, ArithmeticError, IndexError,
+                                     TypeError, KeyError])
     def test_internal_fault_exits_3(self, exc, tmp_path, monkeypatch, capsys):
         def broken(p):
             raise exc("invariant violated")

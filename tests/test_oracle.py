@@ -166,6 +166,8 @@ class TestBuildTestState:
         with pytest.raises(ValueError, match="0 .theta. or 1 .tau."):
             superpose_strings([(0, 2)], BELL)
         with pytest.raises(ValueError, match="0 .theta. or 1 .tau."):
+            superpose_strings([(0.5, 1)], BELL)
+        with pytest.raises(ValueError, match="0 .theta. or 1 .tau."):
             string_state((-1,), BELL)
 
     def test_string_state_resource_cap(self):
