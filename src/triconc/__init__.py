@@ -31,6 +31,7 @@ from .oracle import (
     apply_local_circuit,
     apply_ubc,
     build_test_state,
+    codeword_entropy,
     compression_circuit_n2,
     entanglement_delta,
     entropy_of,

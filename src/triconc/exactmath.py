@@ -20,6 +20,7 @@ __all__ = [
     "binom",
     "log2_big",
     "shannon_h",
+    "exact_entropy",
     "inner_sum",
     "inner_sum_table",
 ]
@@ -58,6 +59,19 @@ def shannon_h(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def exact_entropy(terms, count: int, shift: int) -> float:
+    """-sum mult * (w/T) * log2(w/T), in bits, over integer (mult, w) pairs
+    with T = count << shift.  Each weight mult*w/T is one exact int ratio
+    rounded once, and each log2(w/T) is log2_big(w) - shift -
+    log2_big(count), so weights below float underflow still count."""
+    total_w = count << shift
+    log2_total = shift + log2_big(count)
+    total = 0.0
+    for mult, w in terms:
+        total -= (mult * w) / total_w * (log2_big(w) - log2_total)
+    return total
 
 
 def inner_sum(n: int, k: int, i: int) -> int:

@@ -21,7 +21,8 @@ basis.  Storage is real (float64) by default, since the stock encodings
 and gates are real; the dtype follows the encoding, so a caller-built
 complex :class:`PairEncoding` gives complex states.  Everything is
 capped at 10 pairs (4**10 amplitudes); that is the price of being an
-oracle.
+oracle.  :func:`codeword_entropy` keeps the cap but builds no state: a
+Bell-encoded codeword superposition's entropy is an integer transform.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exactmath import exact_entropy
 from .teststate import Encoding, TestStateSpec
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "string_state",
     "superpose_strings",
     "codewords",
+    "codeword_entropy",
     "build_test_state",
     "schmidt_spectrum",
     "entropy_of",
@@ -227,9 +230,32 @@ def permutation_strings(n: int, k: int) -> list[tuple[int, ...]]:
 def codewords(count: int, width: int, n: int) -> list[tuple[int, ...]]:
     """The integers 0..count-1 as width-bit strings, most significant bit
     first, each padded with theta (0) to length n."""
+    if not (0 <= width <= n and 0 <= count <= 1 << width):
+        raise ValueError(f"need 0 <= width <= n and 0 <= count <= 2^width, "
+                         f"got count={count}, width={width}, n={n}")
     pad = [0] * (n - width)
     return [tuple([(j >> (width - 1 - a)) & 1 for a in range(width)] + pad)
             for j in range(count)]
+
+
+def codeword_entropy(count: int, n: int) -> float:
+    """Exact B|C entropy (ebits) of the Bell-encoded uniform superposition
+    of ``codewords(count, m, n)``, m = ceil(log2 count): the relabeled test
+    state at count = C(n, k), and the residual batching state.  It is
+    diagonal with amplitude W(b) / sqrt(2^m count) on the m leading pairs,
+    W the Walsh-Hadamard transform of the indicator of {0, ..., count-1}
+    (Parseval: sum_b W(b)^2 = 2^m count); each of the n - m theta pairs
+    adds one ebit.  Integers throughout, up to the final logarithm."""
+    _check_cap(n)
+    if not 1 <= count <= 1 << n:
+        raise ValueError(f"need 1 <= count <= 2^{n}, got {count}")
+    m = (count - 1).bit_length()
+    w = [1] * count + [0] * ((1 << m) - count)
+    for h in (1 << a for a in range(m)):
+        for i in range(0, 1 << m, 2 * h):
+            for j in range(i, i + h):
+                w[j], w[j + h] = w[j] + w[j + h], w[j] - w[j + h]
+    return exact_entropy(((1, v * v) for v in w if v), count, m) + (n - m)
 
 
 def build_test_state(spec: TestStateSpec) -> PureStateVector:
@@ -422,8 +448,8 @@ def verify_n2_circuit() -> tuple[float, dict[tuple[int, ...], tuple[int, ...]]]:
     worst = 0.0
     images = {}
     for bits in logical:
-        out = apply_local_circuit(string_state(bits, enc), circuit).amps
-        fid = {c: abs(np.vdot(string_state(c, enc).amps, out)) for c in logical}
+        out = _logical_coefficients(apply_local_circuit(string_state(bits, enc), circuit), enc)
+        fid = {c: abs(out[c]) for c in logical}
         images[bits] = max(logical, key=fid.__getitem__)  # first on ties
         worst = max(worst, 1.0 - fid[images[bits]])
         if bits in pinned and images[bits] != pinned[bits]:

@@ -3,8 +3,8 @@
 Covers the measurement statistics (binomial draws of the tau count per
 batch), the typical-subspace mass, the batching stopping rule that waits
 for the accumulated Schmidt-rank product D_M to land within a (1+eps)
-factor of a power of two, and the entanglement bound for the residual
-superposition state that batching leaves behind.
+factor of a power of two, and the exact entanglement and its bound for
+the residual superposition state that batching leaves behind.
 
 Reproducibility: every stochastic entry point takes an explicit seed;
 independent runs derive their streams from (seed, run_index) so trials
@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactmath import binom, log2_big, shannon_h
-from .oracle import (
-    MAX_DENSE_PAIRS,
-    PairEncoding,
-    codewords,
-    entropy_of,
-    schmidt_spectrum,
-    superpose_strings,
-)
+from .oracle import codeword_entropy
 
 __all__ = [
     "BatchConfig",
@@ -213,23 +206,15 @@ def gamma_state_direct(l: int, eps_prime_count: int, tail_pairs: int) -> float:
     strings prefixed by theta plus the next eps_prime_count strings
     prefixed by tau (so eps_prime = eps_prime_count / 2^l), on 1 + l
     pairs, tensored with tail_pairs extra theta pairs.  With the Bell
-    encoding every tail pair adds exactly one ebit.  Built densely and
-    measured via the oracle, so the scale is capped at 10 pairs.
+    encoding every tail pair adds exactly one ebit.  These are codewords
+    0 .. 2^l + eps_prime_count - 1: their codeword_entropy, to 10 pairs.
     """
     if l < 0:
         raise ValueError(f"need l >= 0, got {l}")
     if tail_pairs < 0:
         raise ValueError(f"need tail_pairs >= 0, got {tail_pairs}")
-    total_pairs = 1 + l + tail_pairs
-    if total_pairs > MAX_DENSE_PAIRS:
-        raise ValueError(
-            f"{total_pairs} pairs exceeds the dense cap of {MAX_DENSE_PAIRS}"
-        )
     if not 0 <= eps_prime_count < (1 << l):
         raise ValueError(
             f"eps_prime_count must lie in [0, 2^l - 1], got {eps_prime_count}"
         )
-    # j < 2^l: theta prefix and codeword j; then tau prefix and codeword j - 2^l
-    strings = codewords((1 << l) + eps_prime_count, l + 1, total_pairs)
-    state = superpose_strings(strings, PairEncoding.bell())
-    return entropy_of(schmidt_spectrum(state))
+    return codeword_entropy((1 << l) + eps_prime_count, 1 + l + tail_pairs)

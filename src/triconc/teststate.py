@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactmath import binom, inner_sum_table, log2_big
+from .exactmath import binom, exact_entropy, inner_sum_table, log2_big
 
 __all__ = [
     "Encoding",
@@ -102,21 +102,9 @@ class AmplitudeTable:
         return Fraction(total, (1 << self.n) * self.s[0])
 
     def entropy(self) -> float:
-        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits.
-
-        Summed as (weight, log2) pairs so that xi_i^2 below float
-        underflow still counts."""
-        n, cnk = self.n, self.s[0]
-        denom = (1 << n) * cnk
-        log2_denom = n + log2_big(cnk)
-        total = 0.0
-        for i, si in enumerate(self.s):
-            if si == 0:
-                continue
-            sq = si * si
-            weight = (binom(n, i) * sq) / denom  # exact int ratio -> nearest float
-            total -= weight * (log2_big(sq) - log2_denom)
-        return total
+        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits, from the integers."""
+        terms = ((binom(self.n, i), v * v) for i, v in enumerate(self.s) if v)
+        return exact_entropy(terms, self.s[0], self.n)
 
 
 @dataclass(frozen=True)

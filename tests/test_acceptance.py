@@ -34,6 +34,7 @@ from triconc import (
     apply_ubc,
     binom,
     build_test_state,
+    codeword_entropy,
     e_in,
     e_out,
     entanglement_delta,
@@ -110,35 +111,12 @@ def test_c03_gap_slope_at_p05():
     assert elapsed < 5.0
 
 
-def _codebook_e_out(n: int, k: int) -> float:
-    """Exact e_out of the relabeled Bell test state, from ubc_codebook's
-    docstring alone: the j-th of the C = C(n, k) permutation strings maps
-    to the integer j on the leading m = ceil(log2 C) pairs, padded with
-    theta.  The image state is sum_{j<C} |j> in the Bell encoding, which
-    is diagonal with amplitude W(b) / sqrt(2^m C), W the Walsh-Hadamard
-    transform of the indicator of {0, ..., C-1}; each padding pair adds
-    one ebit.  Integers throughout, up to the final logarithm."""
-    count = binom(n, k)
-    m = (count - 1).bit_length()
-    w = [1 if x < count else 0 for x in range(1 << m)]
-    h = 1
-    while h < len(w):
-        for i in range(0, len(w), 2 * h):
-            for j in range(i, i + h):
-                w[j], w[j + h] = w[j] + w[j + h], w[j] - w[j + h]
-        h *= 2
-    total = (1 << m) * count  # Parseval: sum_b W(b)^2
-    entropy = math.log2(total) - sum(
-        v * v * math.log2(v * v) for v in w if v) / total
-    return (n - m) + entropy
-
-
 def test_c04_formula_vs_oracle_every_config():
     """For every n <= 8 and every k, on the dense oracle:
 
     * |e_in(formula) - e_in(oracle)| < 1e-10;
     * e_out(oracle via apply_ubc) equals the exact entropy of the
-      lexicographic codebook's image state (:func:`_codebook_e_out`) to
+      lexicographic codebook's image state (:func:`codeword_entropy`) to
       1e-10;
     * that value equals the idealized e_out(spec) = n - log2 C(n, k) to
       1e-10 where C(n, k) is a power of two (21 configs), and lies
@@ -162,7 +140,7 @@ def test_c04_formula_vs_oracle_every_config():
             ein_oracle = entropy_of(schmidt_spectrum(state))
             worst_e_in = max(worst_e_in, abs(ein_oracle - e_in(spec)))
             out = apply_ubc(state, n, k, BELL)
-            rows.append((n, k, binom(n, k), e_out(spec), _codebook_e_out(n, k),
+            rows.append((n, k, binom(n, k), e_out(spec), codeword_entropy(binom(n, k), n),
                          entropy_of(schmidt_spectrum(out))))
     elapsed = time.perf_counter() - start
     worst_pred = max(abs(o - q) for *_, q, o in rows)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -364,3 +365,30 @@ class TestReruns:
                 assert cli.main(["--format", fmt, *argv, "--out", str(path)]) == 0
                 outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] != b""
+
+
+def _readme_cli_examples() -> list[tuple[list[str], int]]:
+    """Each ``triconc ...`` line of the README's command-line ``sh`` block,
+    with the exit code its comment promises: 1 where it says "exits 1"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("## Command-line interface"):]
+    block = section[section.index("```sh\n") + len("```sh\n"):]
+    examples, comment = [], ""
+    for line in block[:block.index("```")].splitlines():
+        if line.startswith("#"):
+            comment += line
+        elif line.startswith("triconc "):
+            examples.append((shlex.split(line)[1:], 1 if "exits 1" in comment else 0))
+            comment = ""
+    return examples
+
+
+class TestReadme:
+    def test_cli_examples_exit_as_documented(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        examples = _readme_cli_examples()
+        assert len(examples) == 5
+        assert [argv[0] for argv, code in examples if code] == ["oracle-check"]
+        for argv, code in examples:
+            assert cli.main(argv) == code, argv
+            assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0

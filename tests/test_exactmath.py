@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triconc.exactmath import binom, inner_sum, inner_sum_table, log2_big, shannon_h
+from triconc.exactmath import (
+    binom,
+    exact_entropy,
+    inner_sum,
+    inner_sum_table,
+    log2_big,
+    shannon_h,
+)
 
 
 def _pascal_triangle(n_max):
@@ -198,3 +205,19 @@ class TestInnerSumTable:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             inner_sum_table(4, 5)
+
+
+class TestExactEntropy:
+    def test_against_decimal(self):
+        # {3/8 x2, 1/24 x6}: weights 9 x2 and 1 x6 over T = 3 << 3
+        getcontext().prec = 60
+        ln2 = Decimal(2).ln()
+        expected = -sum(m * Decimal(w) / 24 * (Decimal(w) / 24).ln() / ln2
+                        for m, w in ((2, 9), (6, 1)))
+        assert abs(exact_entropy([(2, 9), (6, 1)], 3, 3) - float(expected)) < 1e-15
+
+    def test_total_past_float_range(self):
+        # T = 2^1100 overflows a float, and w/T = 2^-1100 underflows one
+        assert exact_entropy([(1 << 1100, 1)], 1, 1100) == 1100.0
+        half = [(1, 1 << 1099), (1 << 1099, 1)]  # 1/2 + 2^1099 * 2^-1100
+        assert abs(exact_entropy(half, 1, 1100) - (1 + 1100) / 2) < 1e-12

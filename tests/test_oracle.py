@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triconc import oracle
 from triconc.oracle import (
     Gate,
     LocalCircuit,
@@ -16,6 +17,8 @@ from triconc.oracle import (
     apply_local_circuit,
     apply_ubc,
     build_test_state,
+    codeword_entropy,
+    codewords,
     compression_circuit_n2,
     entanglement_delta,
     entropy_of,
@@ -24,6 +27,7 @@ from triconc.oracle import (
     string_state,
     superpose_strings,
     ubc_codebook,
+    verify_n2_circuit,
 )
 from triconc.teststate import Encoding, TestStateSpec, e_in, e_out
 
@@ -394,6 +398,22 @@ class TestLocalCircuits:
             out = apply_local_circuit(string_state(src, BELL), circuit)
             assert fidelity(out, string_state(dst, BELL)) > 1 - 1e-10
 
+    def test_verify_n2_circuit_builds_one_state_per_input(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "string_state",
+                            lambda bits, enc: calls.append(bits) or string_state(bits, enc))
+        worst, images = verify_n2_circuit()
+        assert len(calls) == 4
+        # reference: each output against a dense state of every candidate
+        circuit = compression_circuit_n2()
+        candidates = codewords(4, 2, 2)
+        for bits, image in images.items():
+            out = apply_local_circuit(string_state(bits, BELL), circuit)
+            fid = [fidelity(out, string_state(c, BELL)) for c in candidates]
+            assert image == candidates[fid.index(max(fid))]
+            assert 1.0 - max(fid) <= worst + 1e-15
+        assert worst < 1e-10
+
     def test_circuit_agrees_with_apply_ubc_on_superpositions(self):
         circuit = compression_circuit_n2()
         state = build_test_state(TestStateSpec(2, 1))
@@ -481,3 +501,27 @@ class TestFormulaOracleEquivalence:
                 state = build_test_state(spec)
                 out = apply_ubc(state, n, k, PROD)
                 assert entanglement_delta(state, out) < 1e-12
+
+
+class TestCodewords:
+    def test_rejects_count_or_width_out_of_range(self):
+        for count, width, n in ((5, 2, 2), (2, 3, 2), (-1, 1, 1), (1, -1, 1)):
+            with pytest.raises(ValueError, match="width"):
+                codewords(count, width, n)
+
+    def test_entropy_matches_dense_route_for_every_count(self):
+        # every count c with m = ceil(log2 c) <= n <= 7: 254 configurations
+        for n in range(1, 8):
+            for count in range(1, 2**n + 1):
+                strings = codewords(count, (count - 1).bit_length(), n)
+                dense = entropy_of(schmidt_spectrum(superpose_strings(strings, BELL)))
+                assert abs(codeword_entropy(count, n) - dense) < 1e-12, (count, n)
+
+    def test_entropy_of_ten_codewords_on_four_pairs(self):
+        # the prefix-set value ubc_codebook's docstring quotes
+        assert round(codeword_entropy(10, 4), 3) == 1.706
+
+    def test_entropy_validation(self):
+        for count, n in ((0, 3), (2**3 + 1, 3), (1, 11)):
+            with pytest.raises(ValueError):
+                codeword_entropy(count, n)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from triconc.exactmath import binom
-from triconc.oracle import PairEncoding, entropy_of, schmidt_spectrum, superpose_strings
+from triconc.oracle import (
+    PairEncoding,
+    codewords,
+    entropy_of,
+    schmidt_spectrum,
+    superpose_strings,
+)
 from triconc.protocol import (
     BatchConfig,
     TruncationError,
@@ -227,6 +233,14 @@ class TestGammaStateDirect:
                     assert direct <= mid + 1e-9
                     assert mid <= final + 1e-9
 
+    def test_matches_dense_reference(self):
+        # l <= 3, every count, up to 7 pairs in all
+        for l in range(4):
+            for tail in range(7 - l):
+                for count in range(2**l):
+                    got = gamma_state_direct(l, count, tail)
+                    assert abs(got - _dense_gamma(l, count, tail)) < 1e-12
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gamma_state_direct(-1, 0, 0)
@@ -240,3 +254,11 @@ class TestGammaStateDirect:
 
 def _bits(j: int, width: int) -> list[int]:
     return [(j >> (width - 1 - a)) & 1 for a in range(width)]
+
+
+def _dense_gamma(l: int, eps_prime_count: int, tail_pairs: int) -> float:
+    """Reference: the residual batching state built densely and measured
+    by SVD.  j < 2^l: theta prefix and codeword j; then tau prefix and
+    codeword j - 2^l."""
+    strings = codewords((1 << l) + eps_prime_count, l + 1, 1 + l + tail_pairs)
+    return entropy_of(schmidt_spectrum(superpose_strings(strings, PairEncoding.bell())))

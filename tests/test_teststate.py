@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triconc.exactmath import binom, inner_sum, log2_big
 from triconc.teststate import (
@@ -24,6 +26,23 @@ def bell_spec(n, k):
 
 def product_spec(n, k):
     return TestStateSpec(n=n, k=k, encoding=Encoding.PRODUCT)
+
+
+def _entropy_reference(table) -> float:
+    """The entropy sum written out inline, in the order every pinned
+    dataset was computed with; AmplitudeTable.entropy must match it bit
+    for bit."""
+    n, cnk = table.n, table.s[0]
+    denom = (1 << n) * cnk
+    log2_denom = n + log2_big(cnk)
+    total = 0.0
+    for i, si in enumerate(table.s):
+        if si == 0:
+            continue
+        sq = si * si
+        weight = (binom(n, i) * sq) / denom  # exact int ratio -> nearest float
+        total -= weight * (log2_big(sq) - log2_denom)
+    return total
 
 
 class TestSpecValidation:
@@ -130,6 +149,18 @@ class TestEntropies:
                     total -= weight * (2 * math.log2(abs(s)) - log2_norm)
             worst = max(worst, abs(total - e_in(bell_spec(n, k))))
         assert worst < 1e-12, worst
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_entropy_bit_identical_to_reference(self, nk):
+        table = amplitude_table(bell_spec(*nk))
+        assert table.entropy() == _entropy_reference(table)
+
+    def test_entropy_bit_identical_with_half_the_weights_zero(self):
+        # at p = 1/2 every odd-weight S_i vanishes: 1000 of 2001 at n = 2000
+        table = amplitude_table(bell_spec(2000, 1000))
+        assert sum(1 for v in table.s if v == 0) == 1000
+        assert table.entropy() == _entropy_reference(table)
 
     def test_bounds(self):
         for n in range(1, 61, 7):
