@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from . import eof as eof_mod
 from . import oracle, protocol, teststate
+from .exactmath import ordered_sum
 
 DEFAULT_SEED = 0xC0FFEE
 _CHECK_TOL = 1e-10
@@ -225,9 +226,9 @@ def cmd_batch(cfg: protocol.BatchConfig, trials: int) -> tuple[
             stats.n_total, stats.gamma_entropy_bound, status,
         ])
         m_values.append(stats.m_batches)
-    mean_m = sum(m_values) / len(m_values)
+    mean_m = ordered_sum(m_values) / len(m_values)
     if len(m_values) > 1:
-        var = sum((m - mean_m) ** 2 for m in m_values) / (len(m_values) - 1)
+        var = ordered_sum((m - mean_m) ** 2 for m in m_values) / (len(m_values) - 1)
         stderr_m = math.sqrt(var / len(m_values))
     else:
         stderr_m = float("nan")

@@ -1,8 +1,10 @@
 """Exact combinatorics and base-2 entropy primitives.
 
-Everything downstream leans on three guarantees made here:
+Everything downstream leans on four guarantees made here:
 
 * binomial coefficients are arbitrary-precision integers, never floats;
+  a loop over all weights takes the whole row C(n, 0..n) from one
+  rolling product (binomial_row) instead of one binom call per weight;
 * the alternating binomial sums that carry the test-state amplitudes are
   evaluated in exact integer arithmetic, because they cancel massively
   (for n of a few hundred the terms dwarf the result by hundreds of
@@ -18,8 +20,11 @@ import math
 
 __all__ = [
     "binom",
+    "binomial_row",
     "log2_big",
     "shannon_h",
+    "ordered_sum",
+    "entropy_terms",
     "exact_entropy",
     "inner_sum",
     "inner_sum_table",
@@ -33,6 +38,23 @@ def binom(n: int, k: int) -> int:
     if k > n:
         raise ValueError(f"binom requires k <= n, got ({n}, {k})")
     return math.comb(n, k)
+
+
+def binomial_row(n: int) -> list[int]:
+    """The exact row [C(n, 0), ..., C(n, n)].
+
+    Built with the rolling product C(n, i+1) = C(n, i) (n - i) / (i + 1),
+    whose divisions are exact, up to i = n // 2; the rest is the mirror
+    C(n, n - i) = C(n, i).
+    """
+    if n < 0:
+        raise ValueError(f"binomial_row requires n >= 0, got {n}")
+    head = [1]
+    c = 1
+    for i in range(n // 2):
+        c = c * (n - i) // (i + 1)
+        head.append(c)
+    return head + head[:(n + 1) // 2][::-1]
 
 
 def log2_big(x: int) -> float:
@@ -61,17 +83,36 @@ def shannon_h(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def exact_entropy(terms, count: int, shift: int) -> float:
-    """-sum mult * (w/T) * log2(w/T), in bits, over integer (mult, w) pairs
-    with T = count << shift.  Each weight mult*w/T is one exact int ratio
-    rounded once, and each log2(w/T) is log2_big(w) - shift -
-    log2_big(count), so weights below float underflow still count."""
+def ordered_sum(values) -> float:
+    """values added one by one, left to right, starting from 0.0.
+
+    Unlike the built-in sum(), which CPython 3.12 made compensated, and
+    math.fsum, the result is the same rounding sequence on every
+    interpreter: [1.0, 1e100, 1.0, -1e100] gives 0.0, not 2.0.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def entropy_terms(terms, count: int, shift: int):
+    """Yield -mult * (w/T) * log2(w/T), in bits, for each integer
+    (mult, w) pair with w > 0 and T = count << shift.
+
+    Each weight mult*w/T is one exact int ratio rounded once, and each
+    log2(w/T) is log2_big(w) - shift - log2_big(count), so weights below
+    float underflow still count."""
     total_w = count << shift
     log2_total = shift + log2_big(count)
-    total = 0.0
     for mult, w in terms:
-        total -= (mult * w) / total_w * (log2_big(w) - log2_total)
-    return total
+        yield -((mult * w) / total_w * (log2_big(w) - log2_total))
+
+
+def exact_entropy(terms, count: int, shift: int) -> float:
+    """-sum mult * (w/T) * log2(w/T) over integer (mult, w) pairs with
+    T = count << shift: the entropy_terms added in their given order."""
+    return ordered_sum(entropy_terms(terms, count, shift))
 
 
 def inner_sum(n: int, k: int, i: int) -> int:

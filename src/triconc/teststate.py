@@ -16,7 +16,10 @@ squared Schmidt coefficient of a weight-i string is
 
 with S_i the exact alternating sum from :mod:`triconc.exactmath`.  An
 :class:`AmplitudeTable` stores only the integers S_i (S_0 = C(n, k)) and
-derives the rationals, the normalization and the entropy from them.  The
+derives the rationals, the normalization and the entropy from them,
+taking every C(n, i) from one binomial row.  The entropy computes its
+per-weight term once for each mirror pair (i, n - i), since
+S_{n-i} = (-1)^k S_i, and adds the terms in weight order.  The
 input entanglement is the entropy of that spectrum; the output
 entanglement after the compression relabeling is n - log2 C(n, k) in
 the power-of-two idealization (the stochastic correction for general
@@ -31,7 +34,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exactmath import binom, exact_entropy, inner_sum_table, log2_big
+from .exactmath import (
+    binom,
+    binomial_row,
+    entropy_terms,
+    inner_sum_table,
+    log2_big,
+    ordered_sum,
+)
 
 __all__ = [
     "Encoding",
@@ -98,13 +108,22 @@ class AmplitudeTable:
         """Exact value of sum_i C(n, i) * xi_sq[i]; equals 1 by construction.
 
         Computed as one integer sum of C(n, i) s[i]^2, reduced once."""
-        total = sum(binom(self.n, i) * v * v for i, v in enumerate(self.s))
+        total = sum(c * v * v for c, v in zip(binomial_row(self.n), self.s))
         return Fraction(total, (1 << self.n) * self.s[0])
 
     def entropy(self) -> float:
-        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits, from the integers."""
-        terms = ((binom(self.n, i), v * v) for i, v in enumerate(self.s) if v)
-        return exact_entropy(terms, self.s[0], self.n)
+        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits, from the integers.
+
+        C(n, n - i) = C(n, i) and S_{n-i} = (-1)^k S_i (the Krawtchouk
+        symmetry K_k(n - x) = (-1)^k K_k(x)), so weights i and n - i give
+        the same term: each term is computed once, for i <= n // 2, and
+        the terms are added in weight order 0..n."""
+        n, s = self.n, self.s
+        row = binomial_row(n)
+        half = [i for i in range(n // 2 + 1) if s[i]]
+        terms = entropy_terms(((row[i], s[i] * s[i]) for i in half), s[0], n)
+        term = dict(zip(half, terms))
+        return ordered_sum(term[min(i, n - i)] for i in range(n + 1) if s[i])
 
 
 @dataclass(frozen=True)
@@ -214,20 +233,21 @@ def fit_line(points: list[tuple[float, float]]) -> tuple[float, float, float]:
     """Ordinary least squares through (x, y) points.
 
     Returns (slope, intercept, rms_residual); an exactly linear input
-    comes back with zero residual.
+    comes back with zero residual.  Every sum is an ordered_sum, so the
+    floats do not depend on the interpreter's built-in sum().
     """
     if len(points) < 3:
         raise ValueError(f"fit needs at least 3 points, got {len(points)}")
     m = len(points)
-    mean_x = sum(x for x, _ in points) / m
-    mean_y = sum(y for _, y in points) / m
-    sxx = sum((x - mean_x) ** 2 for x, _ in points)
+    mean_x = ordered_sum(x for x, _ in points) / m
+    mean_y = ordered_sum(y for _, y in points) / m
+    sxx = ordered_sum((x - mean_x) ** 2 for x, _ in points)
     if sxx == 0.0:
         raise ValueError("degenerate fit: all x equal")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
+    sxy = ordered_sum((x - mean_x) * (y - mean_y) for x, y in points)
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
-    rss = sum((y - (slope * x + intercept)) ** 2 for x, y in points)
+    rss = ordered_sum((y - (slope * x + intercept)) ** 2 for x, y in points)
     return slope, intercept, math.sqrt(rss / m)
 
 

@@ -220,6 +220,12 @@ class TestBatch:
         assert all(row[1] == 2 for row in truncated)
         assert math.isfinite(summary["mean_m"])
 
+    def test_summary_independent_of_builtin_sum(self, compensated_sum):
+        # a compensated sum would give stderr_m 0.4004996878900157
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.2, seed=0xC0FFEE)
+        _, _, summary = cli.cmd_batch(cfg, trials=25)
+        assert summary == {"mean_m": 3.48, "stderr_m": 0.40049968789001567}
+
     def test_json_summary(self, tmp_path):
         code, text = run_cli(
             ["--format", "json", "batch", "--epsilon", "0.2", "--trials", "4"],

@@ -3,7 +3,8 @@
 Expected values come from independent oracles built in the tests
 themselves: an additive Pascal triangle for binomials, a log-sum of
 factorial ratios for big logarithms, and 60-digit Decimal arithmetic
-for entropies.
+for entropies.  Binomial rows are checked against math.comb, and
+ordered_sum against a compensated sum that would round differently.
 """
 
 import math
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 from triconc.exactmath import (
     binom,
+    binomial_row,
     exact_entropy,
     inner_sum,
     inner_sum_table,
     log2_big,
+    ordered_sum,
     shannon_h,
 )
 
@@ -44,6 +47,14 @@ def _h_decimal(p: str) -> float:
         if v != 0:
             total -= v * v.ln() / ln2
     return float(total)
+
+
+def _mirror_holds(n, k):
+    """S_{n-i} = (-1)^k S_i in the recurrence table, the Krawtchouk
+    symmetry AmplitudeTable.entropy relies on."""
+    s = inner_sum_table(n, k)
+    sign = -1 if k & 1 else 1
+    return all(s[n - i] == sign * s[i] for i in range(n + 1))
 
 
 @st.composite
@@ -91,6 +102,40 @@ class TestBinom:
             binom(-1, 0)
         with pytest.raises(ValueError):
             binom(3, -1)
+
+
+class TestBinomialRow:
+    def test_matches_comb_small(self):
+        for n in range(301):
+            assert binomial_row(n) == [math.comb(n, i) for i in range(n + 1)], n
+
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_matches_comb_large(self, n):
+        assert binomial_row(n) == [math.comb(n, i) for i in range(n + 1)]
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            binomial_row(-1)
+
+
+class TestOrderedSum:
+    def test_left_to_right_rounding(self):
+        # 1.0 + 1e100 rounds to 1e100; a compensated sum would give 2.0
+        assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+
+    def test_same_as_a_plain_loop(self):
+        assert ordered_sum([]) == 0.0
+        rng = random.Random(7)
+        values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-20, 20)
+                  for _ in range(1000)]
+        total = 0.0
+        for v in values:
+            total += v
+        assert ordered_sum(iter(values)) == total
+
+    def test_ignores_builtin_sum(self, compensated_sum):
+        assert sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # the fixture is live
+        assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
 
 class TestLog2Big:
@@ -205,6 +250,16 @@ class TestInnerSumTable:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             inner_sum_table(4, 5)
+
+    def test_mirror_exhaustive_small(self):
+        for n in range(61):
+            for k in range(n + 1):
+                assert _mirror_holds(n, k), (n, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_mirror_at_random_n(self, nk):
+        assert _mirror_holds(*nk)
 
 
 class TestExactEntropy:

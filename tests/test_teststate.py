@@ -156,6 +156,13 @@ class TestEntropies:
         table = amplitude_table(bell_spec(*nk))
         assert table.entropy() == _entropy_reference(table)
 
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (3, 2), (7, 7), (99, 33),
+                                     (1999, 333), (2001, 1000), (2001, 1001)])
+    def test_entropy_bit_identical_at_odd_n_and_k(self, n, k):
+        # odd n has no middle weight; odd k flips the sign of every mirror S_i
+        table = amplitude_table(bell_spec(n, k))
+        assert table.entropy() == _entropy_reference(table)
+
     def test_entropy_bit_identical_with_half_the_weights_zero(self):
         # at p = 1/2 every odd-weight S_i vanishes: 1000 of 2001 at n = 2000
         table = amplitude_table(bell_spec(2000, 1000))
@@ -210,6 +217,12 @@ class TestFits:
         assert fit.p == 0.5
         assert [x for x, _ in fit.points] == [10, 20, 30, 40]
         assert math.isfinite(fit.slope)
+
+    def test_fit_independent_of_builtin_sum(self, compensated_sum):
+        # the fig3 row at p = 1/2, n <= 500 as its JSON form prints it;
+        # a compensated sum moves both floats (slope 0.5566575383147027)
+        fit = slope_fit(0.5, list(range(2, 501, 2)))
+        assert (fit.slope, fit.residual) == (0.556657538314703, 0.10496627065657309)
 
     def test_symmetric_p_gives_identical_fit(self):
         # relabeling theta <-> tau flips amplitude signs only
