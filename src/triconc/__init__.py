@@ -3,8 +3,8 @@
 Exact test-state amplitudes and entropies (:mod:`triconc.teststate`) on
 top of arbitrary-precision combinatorics (:mod:`triconc.exactmath`),
 cross-checked by a dense state-vector oracle (:mod:`triconc.oracle`);
-stochastic batching statistics and the residual-state entanglement
-bound (:mod:`triconc.protocol`); entanglement-of-formation bookkeeping
+binomial sampling and the batching stopping rule
+(:mod:`triconc.protocol`); entanglement-of-formation bookkeeping
 (:mod:`triconc.eof`); and a dataset-emitting CLI (:mod:`triconc.cli`).
 """
 
@@ -43,11 +43,8 @@ from .protocol import (
     BatchConfig,
     BatchRunStats,
     TruncationError,
-    gamma_state_direct,
     run_batches,
     sample_k,
-    superposition_bound,
-    typical_mass,
 )
 from .eof import EofLedger, concurrence, eof_from_concurrence, ledger, rp_reduced_bc
 

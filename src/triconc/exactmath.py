@@ -25,7 +25,6 @@ __all__ = [
     "shannon_h",
     "ordered_sum",
     "entropy_terms",
-    "exact_entropy",
     "inner_sum",
     "inner_sum_table",
 ]
@@ -107,12 +106,6 @@ def entropy_terms(terms, count: int, shift: int):
     log2_total = shift + log2_big(count)
     for mult, w in terms:
         yield -((mult * w) / total_w * (log2_big(w) - log2_total))
-
-
-def exact_entropy(terms, count: int, shift: int) -> float:
-    """-sum mult * (w/T) * log2(w/T) over integer (mult, w) pairs with
-    T = count << shift: the entropy_terms added in their given order."""
-    return ordered_sum(entropy_terms(terms, count, shift))
 
 
 def inner_sum(n: int, k: int, i: int) -> int:

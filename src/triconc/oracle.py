@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactmath import exact_entropy
+from .exactmath import entropy_terms, ordered_sum
 from .teststate import Encoding, TestStateSpec
 
 __all__ = [
@@ -237,7 +237,8 @@ def codeword_entropy(count: int, n: int) -> float:
         for i in range(0, 1 << m, 2 * h):
             for j in range(i, i + h):
                 w[j], w[j + h] = w[j] + w[j + h], w[j] - w[j + h]
-    return exact_entropy(((1, v * v) for v in w if v), count, m) + (n - m)
+    terms = entropy_terms(((1, v * v) for v in w if v), count, m)
+    return ordered_sum(terms) + (n - m)
 
 
 def build_test_state(spec: TestStateSpec) -> PureStateVector:

@@ -1,10 +1,10 @@
 """Stochastic side of the concentration protocol.
 
 Covers the measurement statistics (binomial draws of the tau count per
-batch), the typical-subspace mass, the batching stopping rule that waits
-for the accumulated Schmidt-rank product D_M to land within a (1+eps)
-factor of a power of two, and the exact entanglement and its bound for
-the residual superposition state that batching leaves behind.
+batch) and the batching stopping rule that waits for the accumulated
+Schmidt-rank product D_M to land within a (1+eps) factor of a power of
+two.  The exact entanglement of the residual superposition state that
+batching leaves behind is :func:`triconc.oracle.codeword_entropy`.
 
 Reproducibility: every stochastic entry point takes an explicit seed;
 independent runs derive their streams from (seed, run_index) so trials
@@ -18,18 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactmath import binom, log2_big, shannon_h
-from .oracle import codeword_entropy
+from .exactmath import binom, log2_big
 
 __all__ = [
     "BatchConfig",
     "BatchRunStats",
     "TruncationError",
     "sample_k",
-    "typical_mass",
     "run_batches",
-    "superposition_bound",
-    "gamma_state_direct",
 ]
 
 #: Keep the rank product exact while it fits this many bits, then switch
@@ -102,31 +98,6 @@ def sample_k(n: int, p: float, rng: np.random.Generator) -> int:
     return int(rng.binomial(n, p))
 
 
-def typical_mass(n: int, p: float, c: float) -> float:
-    """Binomial mass inside the window n*p +- c*sqrt(n).
-
-    Exact binomial coefficients, summed in log space so that large n
-    cannot overflow a float.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of [0, 1]: {p}")
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"need finite c > 0, got {c}")
-    if p in (0.0, 1.0):
-        return 1.0  # all mass sits on k = n*p, the window's centre
-    half = min(c * math.sqrt(n), n)  # wider windows hold the same weights
-    lo = max(0, math.ceil(n * p - half))
-    hi = min(n, math.floor(n * p + half))
-    total = 0.0
-    for k in range(lo, hi + 1):
-        total += 2.0 ** (
-            log2_big(binom(n, k)) + k * math.log2(p) + (n - k) * math.log2(1.0 - p)
-        )
-    return min(total, 1.0)
-
-
 def _stats(
     m: int, k_list: list[int], l: int, eps_prime: float, cfg: BatchConfig
 ) -> BatchRunStats:
@@ -181,40 +152,3 @@ def run_batches(cfg: BatchConfig, run_index: int = 0) -> BatchRunStats:
         if eps_prime <= cfg.epsilon:
             return _stats(m, k_list, l, eps_prime, cfg)
     raise TruncationError(_stats(cfg.max_batches, k_list, l, eps_prime, cfg))
-
-
-def superposition_bound(alpha_sq: float, e1: float, e2: float) -> float:
-    """Entanglement bound for a superposition of two orthogonal states.
-
-    For orthogonal bipartite pure states phi1, phi2 combined with
-    weights alpha_sq and 1 - alpha_sq, the entanglement of the
-    superposition is at most
-
-        2 * [alpha_sq * E(phi1) + (1 - alpha_sq) * E(phi2) + H(alpha_sq)].
-    """
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ValueError(f"alpha_sq out of [0, 1]: {alpha_sq}")
-    if not (0.0 <= e1 < math.inf and 0.0 <= e2 < math.inf):
-        raise ValueError(f"entanglements must be finite and nonnegative, got {e1}, {e2}")
-    return 2.0 * (alpha_sq * e1 + (1.0 - alpha_sq) * e2 + shannon_h(alpha_sq))
-
-
-def gamma_state_direct(l: int, eps_prime_count: int, tail_pairs: int) -> float:
-    """Exact B|C entanglement of an explicit residual batching state.
-
-    The state is the uniform superposition of the first 2^l codebook
-    strings prefixed by theta plus the next eps_prime_count strings
-    prefixed by tau (so eps_prime = eps_prime_count / 2^l), on 1 + l
-    pairs, tensored with tail_pairs extra theta pairs.  With the Bell
-    encoding every tail pair adds exactly one ebit.  These are codewords
-    0 .. 2^l + eps_prime_count - 1: their codeword_entropy, to 10 pairs.
-    """
-    if l < 0:
-        raise ValueError(f"need l >= 0, got {l}")
-    if tail_pairs < 0:
-        raise ValueError(f"need tail_pairs >= 0, got {tail_pairs}")
-    if not 0 <= eps_prime_count < (1 << l):
-        raise ValueError(
-            f"eps_prime_count must lie in [0, 2^l - 1], got {eps_prime_count}"
-        )
-    return codeword_entropy((1 << l) + eps_prime_count, 1 + l + tail_pairs)

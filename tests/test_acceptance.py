@@ -39,14 +39,12 @@ from triconc import (
     e_out,
     entanglement_delta,
     entropy_of,
-    gamma_state_direct,
     ledger,
     run_batches,
     schmidt_spectrum,
     shannon_h,
     slope_fit,
     superpose_strings,
-    superposition_bound,
     ubc_codebook,
     verify_n2_circuit,
 )
@@ -319,7 +317,7 @@ def test_c09_residual_state_bound_chain():
         for tail in range(0, 5 - 1 - l + 1):
             n_pairs = 1 + l + tail
             for count in range(0, 2**l):
-                direct = gamma_state_direct(l, count, tail) - tail
+                direct = codeword_entropy((1 << l) + count, n_pairs) - tail
                 eps_prime = count / 2**l
                 alpha_sq = 1.0 / (1.0 + eps_prime)
                 if count:
@@ -329,7 +327,8 @@ def test_c09_residual_state_bound_chain():
                     e2 = entropy_of(schmidt_spectrum(phi2))
                 else:
                     e2 = 0.0
-                mid = superposition_bound(alpha_sq, 1.0, e2)
+                # 2[a E1 + (1-a) E2 + H(a)] with E1 = 1 (the theta branch)
+                mid = 2.0 * (alpha_sq + (1.0 - alpha_sq) * e2 + shannon_h(alpha_sq))
                 final = 2.0 * (eps_prime * n_pairs + 2.0)
                 assert direct <= mid + 1e-9, (l, count, tail, direct, mid)
                 assert mid <= final + 1e-9, (l, count, tail, mid, final)

@@ -513,16 +513,33 @@ class TestCodewords:
                 codewords(count, width, n)
 
     def test_entropy_matches_dense_route_for_every_count(self):
-        # every count c with m = ceil(log2 c) <= n <= 7: 254 configurations
+        # every count c with m = ceil(log2 c) <= n <= 7, each at widths m
+        # and m + 1: 381 dense builds.  Width m + 1 is the residual
+        # batching layout, a theta/tau prefix pair before the codeword.
         for n in range(1, 8):
             for count in range(1, 2**n + 1):
-                strings = codewords(count, (count - 1).bit_length(), n)
-                dense = entropy_of(schmidt_spectrum(superpose_strings(strings, BELL)))
-                assert abs(codeword_entropy(count, n) - dense) < 1e-12, (count, n)
+                m = (count - 1).bit_length()
+                got = codeword_entropy(count, n)
+                for width in range(m, min(m + 1, n) + 1):
+                    strings = codewords(count, width, n)
+                    dense = entropy_of(schmidt_spectrum(superpose_strings(strings, BELL)))
+                    assert abs(got - dense) < 1e-12, (count, width, n)
+                # each extra pair is a theta pair, one more ebit
+                for t in (1, 2, 3):
+                    assert abs(codeword_entropy(count, n + t) - (got + t)) < 1e-12
+                if count == 1 << m:  # all 2^m codewords: a product on m pairs
+                    assert got == n - m, (count, n)
 
     def test_entropy_of_ten_codewords_on_four_pairs(self):
         # the prefix-set value ubc_codebook's docstring quotes
         assert round(codeword_entropy(10, 4), 3) == 1.706
+        # and a worked residual state: codewords 0..4 on three pairs are
+        # four theta-prefixed strings, which sum to 2|theta,00,00>, and
+        # |tau,theta,theta>; (2|theta,00,00> + |tau,theta,theta>)/sqrt5
+        # has Schmidt probabilities (5/8, 9/40, 1/40 x6)
+        expected = -((5 / 8) * math.log2(5 / 8) + (9 / 40) * math.log2(9 / 40)
+                     + 6 * (1 / 40) * math.log2(1 / 40))
+        assert abs(codeword_entropy(5, 3) - expected) < 1e-12
 
     def test_entropy_validation(self):
         for count, n in ((0, 3), (2**3 + 1, 3), (1, 11)):

@@ -22,3 +22,10 @@ def test_every_package_export_is_in_a_module_all():
     exported = {n for n, v in vars(triconc).items()
                 if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert exported - homes == set()
+
+
+def test_protocol_takes_nothing_from_the_oracle():
+    # the stopping rule needs exact combinatorics only, not dense states
+    borrowed = [n for n, v in vars(triconc.protocol).items()
+                if getattr(v, "__module__", None) == "triconc.oracle"]
+    assert borrowed == []

@@ -1,26 +1,17 @@
-"""Batching statistics, typical mass, and the residual-state bound."""
+"""Binomial sampling and the batching stopping rule."""
 
 import math
 
 import numpy as np
 import pytest
 
+from triconc import protocol
 from triconc.exactmath import binom
-from triconc.oracle import (
-    PairEncoding,
-    codewords,
-    entropy_of,
-    schmidt_spectrum,
-    superpose_strings,
-)
 from triconc.protocol import (
     BatchConfig,
     TruncationError,
-    gamma_state_direct,
     run_batches,
     sample_k,
-    superposition_bound,
-    typical_mass,
 )
 
 
@@ -41,57 +32,6 @@ class TestSampleK:
             sample_k(0, 0.5, rng)
         with pytest.raises(ValueError):
             sample_k(5, 1.5, rng)
-
-
-class TestTypicalMass:
-    def test_window_covering_everything(self):
-        assert abs(typical_mass(40, 0.3, c=40.0) - 1.0) < 1e-12
-
-    def test_single_copy(self):
-        assert abs(typical_mass(1, 0.5, c=1.0) - 1.0) < 1e-12
-
-    def test_two_sigma_window_near_95_percent(self):
-        # the window is np +- c sqrt(n); at p = 1/2 one sigma is sqrt(n)/2,
-        # so c = 1 is the textbook two-sigma ~95% case
-        assert abs(typical_mass(100, 0.5, c=1.0) - 0.954) < 0.02
-
-    def test_window_matches_exact_pmf_sum(self):
-        # independent route: Fraction-exact pmf sum over the same window
-        from fractions import Fraction
-
-        n, p, c = 60, 0.5, 1.0
-        half = c * math.sqrt(n)
-        lo = max(0, math.ceil(n * p - half))
-        hi = min(n, math.floor(n * p + half))
-        exact = sum(Fraction(binom(n, k), 2**n) for k in range(lo, hi + 1))
-        assert abs(typical_mass(n, p, c) - float(exact)) < 1e-12
-
-    def test_monotone_in_c_and_saturating(self):
-        for n, p in [(30, 0.5), (50, 0.8), (17, 0.33)]:
-            masses = [typical_mass(n, p, c) for c in (0.5, 1.0, 2.0, 4.0, 8.0)]
-            assert all(b >= a - 1e-15 for a, b in zip(masses, masses[1:]))
-            assert masses[-1] > 0.9999
-
-    def test_log_space_branch_large_n(self):
-        assert typical_mass(2000, 0.5, c=40.0) > 0.999
-        one_sigma = typical_mass(2000, 0.5, c=0.5)  # +- sqrt(n)/2 = one sigma
-        assert 0.6 < one_sigma < 0.75
-
-    def test_degenerate_p(self):
-        assert typical_mass(25, 0.0, c=1.0) == 1.0
-        assert typical_mass(25, 1.0, c=1.0) == 1.0
-
-    def test_window_past_float_range(self):
-        # c * sqrt(n) overflows to inf; the window still covers every k
-        assert typical_mass(25, 0.5, c=1e308) == typical_mass(25, 0.5, c=40.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            typical_mass(10, 0.5, c=0.0)
-        for p in (0.0, 0.5, 1.0):
-            for c in (math.nan, math.inf):
-                with pytest.raises(ValueError, match="need finite c > 0"):
-                    typical_mass(25, p, c=c)
 
 
 class TestRunBatches:
@@ -162,6 +102,24 @@ class TestRunBatches:
         assert len(stats.k_list) == 3
         assert stats.eps_prime > 0.001
 
+    def test_float_path_past_exact_bits(self, monkeypatch):
+        # Past _EXACT_BITS the run adds log2 C(n, k) in floats; every
+        # crossing run must still agree with D_M rebuilt exactly.
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001)
+        crossed = [s for s in (run_batches(cfg, run_index=r) for r in range(60))
+                   if _check_float_path(s, 20, protocol._EXACT_BITS)]
+        assert len(crossed) == 23
+
+        monkeypatch.setattr(protocol, "_EXACT_BITS", 64)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.1)
+        for run in range(2000):
+            _check_float_path(run_batches(cfg, run_index=run), 20, 64)
+
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001, max_batches=20)
+        with pytest.raises(TruncationError) as err:
+            run_batches(cfg, run_index=0)
+        assert _check_float_path(err.value.stats, 20, 64)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BatchConfig(n=0, p=0.5, epsilon=0.1)
@@ -171,68 +129,28 @@ class TestRunBatches:
             BatchConfig(n=5, p=0.5, epsilon=1.0)
 
 
-class TestSuperpositionBound:
-    def test_pure_first_branch(self):
-        assert superposition_bound(1.0, 1.0, 123.0) == 2.0
+def _check_float_path(stats, n: int, exact_bits: int) -> bool:
+    """Rebuild D_M exactly from k_list and check l and eps_prime against
+    it; True when the run went past exact_bits onto the float path.
 
-    def test_pure_entropy_term(self):
-        assert superposition_bound(0.5, 0.0, 0.0) == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            superposition_bound(1.2, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            superposition_bound(0.5, -1.0, 1.0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                superposition_bound(0.5, bad, 1.0)
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                superposition_bound(0.5, 1.0, bad)
-
-
-class TestGammaStateDirect:
-    def test_single_branch_is_one_ebit_plus_tail(self):
-        for tail in (0, 1, 2):
-            for l in (1, 2):
-                got = gamma_state_direct(l, 0, tail)
-                assert abs(got - (1.0 + tail)) < 1e-9
-
-    def test_worked_case_l2_count1(self):
-        # Diagonal expansion of (2|theta,00,00> + |tau,theta,theta>)/sqrt5
-        # gives Schmidt probabilities (5/8, 9/40, 1/40 x6).
-        expected = -(
-            (5 / 8) * math.log2(5 / 8)
-            + (9 / 40) * math.log2(9 / 40)
-            + 6 * (1 / 40) * math.log2(1 / 40)
-        )
-        assert abs(gamma_state_direct(2, 1, 0) - expected) < 1e-12
-
-    def test_tail_additivity(self):
-        base = gamma_state_direct(3, 2, 0)
-        assert abs(gamma_state_direct(3, 2, 2) - (base + 2)) < 1e-9
-
-    def test_matches_dense_reference(self):
-        # l <= 3, every count, up to 7 pairs in all
-        for l in range(4):
-            for tail in range(7 - l):
-                for count in range(2**l):
-                    got = gamma_state_direct(l, count, tail)
-                    assert abs(got - _dense_gamma(l, count, tail)) < 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gamma_state_direct(-1, 0, 0)
-        with pytest.raises(ValueError):
-            gamma_state_direct(2, 4, 0)  # count = 2^l means eps' = 1
-        with pytest.raises(ValueError):
-            gamma_state_direct(3, 1, 20)  # pairs over the dense cap
-        with pytest.raises(ValueError):
-            gamma_state_direct(10**6, 0, 0)  # rejected before 2^l is built
-
-
-def _dense_gamma(l: int, eps_prime_count: int, tail_pairs: int) -> float:
-    """Reference: the residual batching state built densely and measured
-    by SVD.  j < 2^l: theta prefix and codeword j; then tau prefix and
-    codeword j - 2^l."""
-    strings = codewords((1 << l) + eps_prime_count, l + 1, 1 + l + tail_pairs)
-    return entropy_of(schmidt_spectrum(superpose_strings(strings, PairEncoding.bell())))
+    On that path log2 D_M is one log2_big of the exact product at the
+    switch plus one float add of log2_big(C(n, k)) per later batch.  Each
+    of those log2_big calls is within one ulp of 64 (math.log2 of an
+    integer below 2^54), and each add rounds within one ulp of the
+    running total, which stays below 2 bit_length(D_M).  An error delta
+    in log2 D_M moves eps_prime = 2^frac - 1 by at most 2 delta."""
+    d, switch = 1, None
+    for m, k in enumerate(stats.k_list, 1):
+        d *= binom(n, k)
+        if switch is None and d.bit_length() > exact_bits:
+            switch = m
+    l = d.bit_length() - 1
+    assert stats.l == l
+    exact = (d - (1 << l)) / (1 << l)
+    if switch is None:
+        assert stats.eps_prime == exact
+        return False
+    adds = stats.m_batches - switch + 1
+    delta = adds * (math.ulp(64.0) + math.ulp(2.0 * d.bit_length()))
+    assert abs(stats.eps_prime - exact) <= 2 * delta, (stats.m_batches, switch)
+    return True
