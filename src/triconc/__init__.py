@@ -16,6 +16,7 @@ from .teststate import (
     SlopeFit,
     TestStateSpec,
     amplitude_table,
+    codeword_entropy,
     e_in,
     e_out,
     fit_line,
@@ -29,7 +30,6 @@ from .oracle import (
     apply_local_circuit,
     apply_ubc,
     build_test_state,
-    codeword_entropy,
     compression_circuit_n2,
     entanglement_delta,
     entropy_of,

@@ -14,7 +14,8 @@ All commands are deterministic given their flags and --seed (default
 0xC0FFEE); repeated runs produce byte-identical output.  CSV is
 comma-separated with LF line endings, a leading `# schema=<name>/1`
 comment, and reals printed to 12 significant digits.  `--format json`
-emits the same rows as a JSON document.
+emits the same rows as a strict JSON document, with null where CSV
+prints nan.
 
 Exit codes: 0 success, 1 oracle-check found a delta, 2 bad input or an
 unwritable --out, 3 internal error (any other fault, e.g. a failed invariant).
@@ -40,9 +41,19 @@ class UsageError(ValueError):
     """Bad flag value or combination; maps to exit code 2."""
 
 
+def _json(doc: object) -> str:
+    """Strict JSON: a NaN or infinity left in doc raises ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _null_nan(v: object) -> object:
+    return None if isinstance(v, float) and math.isnan(v) else v
+
+
 def _render(schema: str, fmt: str, header: list[str], rows: list[list[object]],
             summary: dict[str, float] | None = None) -> str:
-    """A table as CSV, or as a JSON document with the same rows.
+    """A table as CSV, or as a JSON document with the same rows and each
+    NaN as null.
 
     A summary goes under "summary" in JSON and into a trailing CSV row
     padded to the header's width.
@@ -50,11 +61,11 @@ def _render(schema: str, fmt: str, header: list[str], rows: list[list[object]],
     if fmt == "json":
         doc: dict[str, object] = {
             "schema": f"{schema}/1",
-            "rows": [dict(zip(header, row)) for row in rows],
+            "rows": [dict(zip(header, map(_null_nan, row))) for row in rows],
         }
         if summary is not None:
-            doc["summary"] = summary
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            doc["summary"] = {k: _null_nan(v) for k, v in summary.items()}
+        return _json(doc)
     if summary is not None:
         pad = [""] * (len(header) - 1 - len(summary))
         rows = rows + [["summary", *summary.values(), *pad]]
@@ -345,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         result = args.run(args)
         if isinstance(result[0], dict):  # oracle-check's (report, exit code)
             report, code = result
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            text = _json(report)
         else:
             code, text = 0, _render(args.command, args.format, *result)
         _emit(text, args.out)

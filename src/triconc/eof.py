@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactmath import shannon_h
+from .oracle import PairEncoding
 
 __all__ = [
     "EofLedger",
@@ -28,9 +29,6 @@ __all__ = [
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_PAULI_Y, _PAULI_Y)
-
-_THETA = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
-_TAU = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,15 @@ class EofLedger:
 def rp_reduced_bc(p: float) -> np.ndarray:
     """Two-qubit reduction on B-C: (1-p)|theta><theta| + p|tau><tau|.
 
-    theta and tau are the (|00> +- |11>)/sqrt2 Bell pair, so the result
-    is Bell-diagonal by construction.
+    theta and tau are the (|00> +- |11>)/sqrt2 pair of
+    :meth:`PairEncoding.bell`, so the result is Bell-diagonal by
+    construction.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of [0, 1]: {p}")
-    return (1.0 - p) * np.outer(_THETA, _THETA.conj()) + p * np.outer(
-        _TAU, _TAU.conj()
-    )
+    enc = PairEncoding.bell()
+    theta, tau = enc.theta.reshape(-1), enc.tau.reshape(-1)
+    return (1.0 - p) * np.outer(theta, theta.conj()) + p * np.outer(tau, tau.conj())
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:

@@ -22,8 +22,7 @@ Storage is real (float64) by default, since the stock encodings
 and gates are real; the dtype follows the encoding, so a caller-built
 complex :class:`PairEncoding` gives complex states.  Everything is
 capped at 10 pairs (4**10 amplitudes); that is the price of being an
-oracle.  :func:`codeword_entropy` keeps the cap but builds no state: a
-Bell-encoded codeword superposition's entropy is an integer transform.
+oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exactmath import entropy_terms, ordered_sum
 from .teststate import Encoding, TestStateSpec
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "string_state",
     "superpose_strings",
     "codewords",
-    "codeword_entropy",
     "build_test_state",
     "schmidt_spectrum",
     "entropy_of",
@@ -218,27 +215,6 @@ def codewords(count: int, width: int, n: int) -> list[tuple[int, ...]]:
     pad = [0] * (n - width)
     return [tuple([(j >> (width - 1 - a)) & 1 for a in range(width)] + pad)
             for j in range(count)]
-
-
-def codeword_entropy(count: int, n: int) -> float:
-    """Exact B|C entropy (ebits) of the Bell-encoded uniform superposition
-    of ``codewords(count, m, n)``, m = ceil(log2 count): the relabeled test
-    state at count = C(n, k), and the residual batching state.  It is
-    diagonal with amplitude W(b) / sqrt(2^m count) on the m leading pairs,
-    W the Walsh-Hadamard transform of the indicator of {0, ..., count-1}
-    (Parseval: sum_b W(b)^2 = 2^m count); each of the n - m theta pairs
-    adds one ebit.  Integers throughout, up to the final logarithm."""
-    _check_cap(n)
-    if not 1 <= count <= 1 << n:
-        raise ValueError(f"need 1 <= count <= 2^{n}, got {count}")
-    m = (count - 1).bit_length()
-    w = [1] * count + [0] * ((1 << m) - count)
-    for h in (1 << a for a in range(m)):
-        for i in range(0, 1 << m, 2 * h):
-            for j in range(i, i + h):
-                w[j], w[j + h] = w[j] + w[j + h], w[j] - w[j + h]
-    terms = entropy_terms(((1, v * v) for v in w if v), count, m)
-    return ordered_sum(terms) + (n - m)
 
 
 def build_test_state(spec: TestStateSpec) -> PureStateVector:

@@ -4,7 +4,7 @@ Covers the measurement statistics (binomial draws of the tau count per
 batch) and the batching stopping rule that waits for the accumulated
 Schmidt-rank product D_M to land within a (1+eps) factor of a power of
 two.  The exact entanglement of the residual superposition state that
-batching leaves behind is :func:`triconc.oracle.codeword_entropy`.
+batching leaves behind is :func:`triconc.teststate.codeword_entropy`.
 
 Reproducibility: every stochastic entry point takes an explicit seed;
 independent runs derive their streams from (seed, run_index) so trials
@@ -32,6 +32,9 @@ __all__ = [
 #: to accumulating log2 in floats (~1e-12 accurate per step).
 _EXACT_BITS = 10_000
 
+#: A run that has not stopped after this many batches is truncated.
+_MAX_BATCHES = 10_000
+
 
 @dataclass(frozen=True)
 class BatchConfig:
@@ -40,7 +43,6 @@ class BatchConfig:
     n: int
     p: float
     epsilon: float
-    max_batches: int = 10_000
     seed: int = 0xC0FFEE
 
     def __post_init__(self) -> None:
@@ -50,8 +52,6 @@ class BatchConfig:
             raise ValueError(f"probability out of [0, 1]: {self.p}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"need 0 < epsilon < 1, got {self.epsilon}")
-        if self.max_batches < 1:
-            raise ValueError(f"need max_batches >= 1, got {self.max_batches}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got {self.seed}")
 
@@ -63,9 +63,7 @@ class BatchRunStats:
     gamma_log2 is log2 of the accumulated rank product D_M = 2^l (1 +
     eps_prime); n_total is the number of copies consumed (batches times
     batch size); gamma_entropy_bound is the residual-state bound
-    2 (epsilon * n_total + 2); theta_tail_ebits is the number of pairs
-    the relabeling parks in the theta state, n_total - ceil(log2 D_M),
-    whose expected value is about n_total * (1 - H(p)).
+    2 (epsilon * n_total + 2).
     """
 
     m_batches: int
@@ -75,11 +73,10 @@ class BatchRunStats:
     gamma_log2: float
     n_total: int
     gamma_entropy_bound: float
-    theta_tail_ebits: float
 
 
 class TruncationError(RuntimeError):
-    """Raised when a run hits max_batches; carries the partial stats."""
+    """Raised when a run hits _MAX_BATCHES; carries the partial stats."""
 
     def __init__(self, stats: BatchRunStats):
         super().__init__(
@@ -103,7 +100,6 @@ def _stats(
 ) -> BatchRunStats:
     n_total = m * cfg.n
     log_gamma = l + math.log2(1.0 + eps_prime)
-    codebook_pairs = l if eps_prime == 0.0 else l + 1  # ceil(log2 D_M)
     return BatchRunStats(
         m_batches=m,
         k_list=tuple(k_list),
@@ -112,7 +108,6 @@ def _stats(
         gamma_log2=log_gamma,
         n_total=n_total,
         gamma_entropy_bound=2.0 * (cfg.epsilon * n_total + 2.0),
-        theta_tail_ebits=float(n_total - codebook_pairs),
     )
 
 
@@ -126,13 +121,13 @@ def run_batches(cfg: BatchConfig, run_index: int = 0) -> BatchRunStats:
     integer while it fits 10^4 bits so float drift cannot corrupt the
     window test near its edges; truly long runs switch to log2
     accumulation.  Raises :class:`TruncationError` (carrying the partial
-    stats) if max_batches is exhausted.
+    stats) if _MAX_BATCHES batches do not suffice.
     """
     rng = np.random.default_rng([cfg.seed, run_index])
     d_exact: int | None = 1
     log2_d = 0.0
     k_list: list[int] = []
-    for m in range(1, cfg.max_batches + 1):
+    for m in range(1, _MAX_BATCHES + 1):
         k = sample_k(cfg.n, cfg.p, rng)
         k_list.append(k)
         step = binom(cfg.n, k)
@@ -151,4 +146,4 @@ def run_batches(cfg: BatchConfig, run_index: int = 0) -> BatchRunStats:
             eps_prime = 2.0 ** (log2_d - l) - 1.0
         if eps_prime <= cfg.epsilon:
             return _stats(m, k_list, l, eps_prime, cfg)
-    raise TruncationError(_stats(cfg.max_batches, k_list, l, eps_prime, cfg))
+    raise TruncationError(_stats(_MAX_BATCHES, k_list, l, eps_prime, cfg))

@@ -22,9 +22,11 @@ per-weight term once for each mirror pair (i, n - i), since
 S_{n-i} = (-1)^k S_i, and adds the terms in weight order.  The
 input entanglement is the entropy of that spectrum; the output
 entanglement after the compression relabeling is n - log2 C(n, k) in
-the power-of-two idealization (the stochastic correction for general
-C(n, k) lives in :mod:`triconc.protocol`).  With the product encoding
-both sides equal log2 C(n, k) and the gap vanishes.
+the power-of-two idealization.  :func:`codeword_entropy` gives it
+exactly for the lexicographic codebook up to C(n, k) = 2^20, and for the
+residual state that batching (:mod:`triconc.protocol`) leaves, by the
+same per-term values and ordered sum.  With the product encoding both
+sides equal log2 C(n, k) and the gap vanishes.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "Encoding",
     "TestStateSpec",
     "AmplitudeTable",
+    "codeword_entropy",
     "EntanglementReport",
     "SlopeFit",
     "amplitude_table",
@@ -124,6 +127,30 @@ class AmplitudeTable:
         terms = entropy_terms(((row[i], s[i] * s[i]) for i in half), s[0], n)
         term = dict(zip(half, terms))
         return ordered_sum(term[min(i, n - i)] for i in range(n + 1) if s[i])
+
+
+def codeword_entropy(count: int, n: int) -> float:
+    """Exact B|C entropy (ebits) of the Bell-encoded uniform superposition
+    of :func:`triconc.oracle.codewords` ``(count, m, n)``, m = ceil(log2
+    count): the relabeled test state at count = C(n, k), and the residual
+    batching state.  It is diagonal with amplitude W(b) / sqrt(2^m count)
+    on the m leading pairs, W the Walsh-Hadamard transform of the
+    indicator of {0, ..., count-1} (Parseval: sum_b W(b)^2 = 2^m count);
+    each of the n - m theta pairs adds one ebit.  Integers throughout, up
+    to the final logarithm.  The transform has 2^m entries, so m is
+    capped at 20; n is not."""
+    m = (count - 1).bit_length()
+    if count < 1 or m > n:  # 1 <= count <= 2^n without building 2^n
+        raise ValueError(f"need 1 <= count <= 2^{n}, got {count}")
+    if m > 20:
+        raise ValueError(f"count {count} needs a 2^{m}-entry transform, past 2^20")
+    w = [1] * count + [0] * ((1 << m) - count)
+    for h in (1 << a for a in range(m)):
+        for i in range(0, 1 << m, 2 * h):
+            for j in range(i, i + h):
+                w[j], w[j + h] = w[j] + w[j + h], w[j] - w[j + h]
+    terms = entropy_terms(((1, v * v) for v in w if v), count, m)
+    return ordered_sum(terms) + (n - m)
 
 
 @dataclass(frozen=True)

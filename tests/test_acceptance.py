@@ -48,7 +48,7 @@ from triconc import (
     ubc_codebook,
     verify_n2_circuit,
 )
-from triconc.oracle import codewords
+from triconc.oracle import MAX_DENSE_PAIRS, codewords
 
 BELL = PairEncoding.bell()
 
@@ -309,35 +309,39 @@ def test_c08_batching_statistics():
 
 
 def test_c09_residual_state_bound_chain():
-    """Every small residual construction (l <= 3, total pairs <= 5)
-    satisfies direct E <= 2[a E1 + (1-a) E2 + H(a)] <= 2(eps' N + 2)."""
+    """Every residual construction with l <= 5 and total pairs <= 12,
+    past the dense cap too, satisfies
+    direct E <= 2[a E1 + (1-a) E2 + H(a)] <= 2(eps' N + 2)."""
     checked = 0
+    past_cap = 0
     worst_slack = -math.inf
-    for l in (1, 2, 3):
-        for tail in range(0, 5 - 1 - l + 1):
-            n_pairs = 1 + l + tail
-            for count in range(0, 2**l):
+    for l in range(1, 6):
+        for count in range(0, 2**l):
+            eps_prime = count / 2**l
+            alpha_sq = 1.0 / (1.0 + eps_prime)
+            if count:
+                phi2 = superpose_strings(
+                    [(1,) + c for c in codewords(count, l, l)], BELL
+                )
+                e2 = entropy_of(schmidt_spectrum(phi2))
+            else:
+                e2 = 0.0
+            # 2[a E1 + (1-a) E2 + H(a)] with E1 = 1 (the theta branch)
+            mid = 2.0 * (alpha_sq + (1.0 - alpha_sq) * e2 + shannon_h(alpha_sq))
+            for tail in range(0, 12 - 1 - l + 1):
+                n_pairs = 1 + l + tail
                 direct = codeword_entropy((1 << l) + count, n_pairs) - tail
-                eps_prime = count / 2**l
-                alpha_sq = 1.0 / (1.0 + eps_prime)
-                if count:
-                    phi2 = superpose_strings(
-                        [(1,) + c for c in codewords(count, l, l)], BELL
-                    )
-                    e2 = entropy_of(schmidt_spectrum(phi2))
-                else:
-                    e2 = 0.0
-                # 2[a E1 + (1-a) E2 + H(a)] with E1 = 1 (the theta branch)
-                mid = 2.0 * (alpha_sq + (1.0 - alpha_sq) * e2 + shannon_h(alpha_sq))
                 final = 2.0 * (eps_prime * n_pairs + 2.0)
                 assert direct <= mid + 1e-9, (l, count, tail, direct, mid)
                 assert mid <= final + 1e-9, (l, count, tail, mid, final)
                 worst_slack = max(worst_slack, direct - mid)
                 checked += 1
+                past_cap += n_pairs > MAX_DENSE_PAIRS
     _report("c09 residual-state bound chain", True,
-            f"{checked} constructions, max(direct - mid bound) = "
-            f"{worst_slack:.3f} (<= 0 required)")
+            f"{checked} constructions ({past_cap} past {MAX_DENSE_PAIRS} pairs), "
+            f"max(direct - mid bound) = {worst_slack:.3f} (<= 0 required)")
     assert checked >= 24
+    assert past_cap > 0
 
 
 def test_c10_entanglement_of_formation_ledger():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triconc
-from triconc import cli, oracle
+from triconc import cli, oracle, protocol
 from triconc.protocol import BatchConfig
 
 
@@ -23,6 +23,15 @@ def run_cli(args, tmp_path, name="out.csv"):
     code = cli.main(args + ["--out", str(path)])
     text = path.read_text() if path.exists() else ""
     return code, text
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses the NaN and Infinity extensions."""
+    return json.loads(text, parse_constant=_reject)
 
 
 class TestFig2:
@@ -64,7 +73,7 @@ class TestFig2:
             tmp_path, "out.json",
         )
         assert code == 0
-        doc = json.loads(text)
+        doc = strict_json(text)
         assert doc["schema"] == "fig2/1"
         assert [row["n"] for row in doc["rows"]] == [2, 4, 6]
 
@@ -89,6 +98,11 @@ class TestFig3:
         assert row[0] == "0.5"
         assert row[1] == "nan" and row[2] == "nan"
         assert "need 3" in capsys.readouterr().err
+        # JSON has no NaN: the same row carries null
+        code, text = run_cli(["--format", "json", "fig3", "--p-list", "0.3",
+                              "--n-max", "15"], tmp_path, "f.json")
+        assert code == 0
+        assert strict_json(text)["rows"] == [{"p": 0.3, "slope": None, "residual": None}]
 
     def test_symmetric_probabilities_match(self, tmp_path):
         code, text = run_cli(
@@ -124,7 +138,7 @@ class TestOracleCheck:
     def test_single_pair_all_consistent(self, tmp_path):
         code, text = run_cli(["oracle-check", "--n-max", "1"], tmp_path, "r.json")
         assert code == 0
-        report = json.loads(text)
+        report = strict_json(text)
         assert report["all_within_tolerance"] is True
         assert {e["k"] for e in report["entries"]} == {0, 1}
         for entry in report["entries"]:
@@ -133,14 +147,14 @@ class TestOracleCheck:
 
     def test_n2_includes_circuit_pass(self, tmp_path):
         code, text = run_cli(["oracle-check", "--n-max", "2"], tmp_path, "r.json")
-        report = json.loads(text)
+        report = strict_json(text)
         assert code == 0
         assert report["n2_locc"] == "pass"
         assert report["n2_locc_detail"]["worst_infidelity"] < 1e-10
 
     def test_n4_flags_non_power_of_two_idealization(self, tmp_path):
         code, text = run_cli(["oracle-check", "--n-max", "4"], tmp_path, "r.json")
-        report = json.loads(text)
+        report = strict_json(text)
         # e_in always matches; the idealized e_out is unreachable where
         # C(n,k) is not a power of two, and the report must say so
         assert code == 1
@@ -159,7 +173,7 @@ class TestOracleCheck:
         cnots_only = oracle.compression_circuit_n2()[:2]
         monkeypatch.setattr(oracle, "compression_circuit_n2", lambda: cnots_only)
         code, text = run_cli(["oracle-check", "--n-max", "2"], tmp_path, "r.json")
-        report = json.loads(text)
+        report = strict_json(text)
         assert code == 1
         assert report["n2_locc"] == "fail"
         assert report["n2_locc_detail"]["worst_infidelity"] == 1.0
@@ -173,7 +187,7 @@ class TestOracleCheck:
         monkeypatch.setattr(oracle, "apply_ubc",
                             lambda *args: oracle.apply_local_circuit(real(*args), flip))
         code, text = run_cli(["oracle-check", "--n-max", "3"], tmp_path, "r.json")
-        report = json.loads(text)
+        report = strict_json(text)
         assert code == 1
         assert "ubc_isometry_dev" in {f["check"] for f in report["failures"]}
 
@@ -211,8 +225,9 @@ class TestBatch:
         _, second = run_cli(["--seed", "2"] + base, tmp_path, "b.csv")
         assert first != second
 
-    def test_truncated_runs_flagged(self):
-        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001, max_batches=2)
+    def test_truncated_runs_flagged(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_MAX_BATCHES", 2)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001)
         header, rows, summary = cli.cmd_batch(cfg, trials=5)
         statuses = {row[-1] for row in rows}
         assert "truncated" in statuses
@@ -232,10 +247,17 @@ class TestBatch:
             tmp_path, "b.json",
         )
         assert code == 0
-        doc = json.loads(text)
+        doc = strict_json(text)
         assert doc["schema"] == "batch/1"
         assert len(doc["rows"]) == 4
         assert "mean_m" in doc["summary"] and "stderr_m" in doc["summary"]
+        # one trial has no standard error: CSV prints nan, JSON null
+        code, text = run_cli(
+            ["--format", "json", "batch", "--epsilon", "0.1", "--trials", "1"],
+            tmp_path, "b1.json",
+        )
+        assert code == 0
+        assert strict_json(text)["summary"]["stderr_m"] is None
 
 
 class TestEof:
@@ -318,6 +340,14 @@ class TestUsage:
         assert text == ""
         assert capsys.readouterr().err.startswith("internal error: ")
 
+    def test_nan_in_report_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a NaN delta passes every ">= tolerance" test; strict JSON stops it
+        monkeypatch.setattr(cli.teststate, "e_in", lambda spec: float("nan"))
+        code, text = run_cli(["oracle-check", "--n-max", "1"], tmp_path, "r.json")
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err.startswith("internal error: ")
+
 
 class TestProcess:
     """The documented exit codes as process exit codes of ``python -m``."""
@@ -339,7 +369,7 @@ class TestProcess:
     def test_oracle_delta_exits_1(self):
         proc = self.run("oracle-check", "--n-max", "3")
         assert proc.returncode == 1
-        assert json.loads(proc.stdout)["all_within_tolerance"] is False
+        assert strict_json(proc.stdout)["all_within_tolerance"] is False
 
     def test_unknown_flag_exits_2(self):
         proc = self.run("eof", "--bogus")

@@ -16,7 +16,6 @@ from triconc.oracle import (
     apply_local_circuit,
     apply_ubc,
     build_test_state,
-    codeword_entropy,
     codewords,
     compression_circuit_n2,
     entanglement_delta,
@@ -28,7 +27,7 @@ from triconc.oracle import (
     ubc_codebook,
     verify_n2_circuit,
 )
-from triconc.teststate import Encoding, TestStateSpec, e_in, e_out
+from triconc.teststate import Encoding, TestStateSpec, codeword_entropy, e_in, e_out
 
 BELL = PairEncoding.bell()
 PROD = PairEncoding.product()
@@ -524,24 +523,3 @@ class TestCodewords:
                     strings = codewords(count, width, n)
                     dense = entropy_of(schmidt_spectrum(superpose_strings(strings, BELL)))
                     assert abs(got - dense) < 1e-12, (count, width, n)
-                # each extra pair is a theta pair, one more ebit
-                for t in (1, 2, 3):
-                    assert abs(codeword_entropy(count, n + t) - (got + t)) < 1e-12
-                if count == 1 << m:  # all 2^m codewords: a product on m pairs
-                    assert got == n - m, (count, n)
-
-    def test_entropy_of_ten_codewords_on_four_pairs(self):
-        # the prefix-set value ubc_codebook's docstring quotes
-        assert round(codeword_entropy(10, 4), 3) == 1.706
-        # and a worked residual state: codewords 0..4 on three pairs are
-        # four theta-prefixed strings, which sum to 2|theta,00,00>, and
-        # |tau,theta,theta>; (2|theta,00,00> + |tau,theta,theta>)/sqrt5
-        # has Schmidt probabilities (5/8, 9/40, 1/40 x6)
-        expected = -((5 / 8) * math.log2(5 / 8) + (9 / 40) * math.log2(9 / 40)
-                     + 6 * (1 / 40) * math.log2(1 / 40))
-        assert abs(codeword_entropy(5, 3) - expected) < 1e-12
-
-    def test_entropy_validation(self):
-        for count, n in ((0, 3), (2**3 + 1, 3), (1, 11)):
-            with pytest.raises(ValueError):
-                codeword_entropy(count, n)

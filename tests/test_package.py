@@ -29,3 +29,11 @@ def test_protocol_takes_nothing_from_the_oracle():
     borrowed = [n for n, v in vars(triconc.protocol).items()
                 if getattr(v, "__module__", None) == "triconc.oracle"]
     assert borrowed == []
+
+
+def test_oracle_takes_nothing_from_exactmath():
+    # the dense oracle builds states and takes spectra; closed forms live
+    # in teststate
+    borrowed = [n for n, v in vars(triconc.oracle).items()
+                if getattr(v, "__module__", None) == "triconc.exactmath"]
+    assert borrowed == []

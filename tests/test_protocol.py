@@ -60,8 +60,6 @@ class TestRunBatches:
         assert stats.m_batches == len(stats.k_list)
         assert abs(stats.gamma_log2 - (stats.l + math.log2(1 + stats.eps_prime))) < 1e-12
         assert stats.gamma_entropy_bound == 2 * (0.1 * stats.n_total + 2)
-        codebook_pairs = stats.l if stats.eps_prime == 0 else stats.l + 1
-        assert stats.theta_tail_ebits == stats.n_total - codebook_pairs
 
     def test_batch_count_scale(self):
         # The stopping window has log2-scale width log2(1+eps), so the mean
@@ -78,7 +76,9 @@ class TestRunBatches:
     def test_expected_tail_tracks_one_minus_h(self):
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.1)
         runs = [run_batches(cfg, run_index=r) for r in range(500)]
-        ratio = sum(r.theta_tail_ebits for r in runs) / sum(r.n_total for r in runs)
+        # the relabeling parks n_total - ceil(log2 D_M) pairs in theta
+        tails = [r.n_total - r.l - (r.eps_prime > 0) for r in runs]
+        ratio = sum(tails) / sum(r.n_total for r in runs)
         # per-copy tail is 1 - log2 C(20, k)/20 on average, a bit above 1 - H(1/2)
         expected = 1 - sum(
             binom(20, k) * math.log2(binom(20, k)) for k in range(21)
@@ -93,8 +93,9 @@ class TestRunBatches:
         c = run_batches(cfg, run_index=6)
         assert a.k_list != c.k_list
 
-    def test_truncation_carries_partial_stats(self):
-        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001, max_batches=3)
+    def test_truncation_carries_partial_stats(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_MAX_BATCHES", 3)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001)
         with pytest.raises(TruncationError) as err:
             run_batches(cfg, run_index=0)
         stats = err.value.stats
@@ -115,7 +116,8 @@ class TestRunBatches:
         for run in range(2000):
             _check_float_path(run_batches(cfg, run_index=run), 20, 64)
 
-        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001, max_batches=20)
+        monkeypatch.setattr(protocol, "_MAX_BATCHES", 20)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001)
         with pytest.raises(TruncationError) as err:
             run_batches(cfg, run_index=0)
         assert _check_float_path(err.value.stats, 20, 64)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from triconc.teststate import (
     Encoding,
     TestStateSpec,
     amplitude_table,
+    codeword_entropy,
     e_in,
     e_out,
     fit_line,
@@ -175,6 +177,63 @@ class TestEntropies:
                 spec = bell_spec(n, k)
                 assert -1e-12 <= e_in(spec) <= n + 1e-9
                 assert -1e-12 <= e_out(spec) <= n + 1e-9
+
+
+def _wht_entropy_reference(count: int, n: int) -> float:
+    """codeword_entropy by a numpy int64 Walsh-Hadamard transform, with
+    numpy's pairwise float sum in place of the ordered one."""
+    m = (count - 1).bit_length()
+    w = np.zeros(1 << m, dtype=np.int64)
+    w[:count] = 1
+    for a in range(m):
+        v = w.reshape(-1, 2, 1 << a)
+        w = np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1).reshape(-1)
+    p = w[w != 0].astype(np.float64) ** 2 / float(count << m)
+    return float(-np.sum(p * np.log2(p))) + (n - m)
+
+
+class TestCodewordEntropy:
+    def test_power_of_two_counts_exact_to_n40(self):
+        # all 2^j codewords are a product on j pairs: no codebook entropy
+        for n in range(1, 41):
+            for j in range(min(n, 10) + 1):
+                assert codeword_entropy(2**j, n) == n - j, (j, n)
+
+    def test_tail_additivity_to_n40(self):
+        # each pair past the m codeword pairs is a theta pair, one more ebit
+        for count in list(range(1, 129)) + [binom(12, 6)]:
+            m = (count - 1).bit_length()
+            base = codeword_entropy(count, m)
+            for n in sorted({m + 1, m + 2, m + 3, 40}):
+                assert abs(codeword_entropy(count, n) - (base + n - m)) < 1e-12, (count, n)
+
+    def test_matches_numpy_transform_past_the_dense_cap(self):
+        # n = 11..18 is past the dense oracle's 10 pairs.  Both routes sum
+        # 2^m terms of size at most n - m in different orders.
+        for n in range(11, 19):
+            for count in (binom(n, 3), binom(n, n // 2), (1 << (n - 3)) + 5):
+                m = (count - 1).bit_length()
+                got = codeword_entropy(count, n)
+                assert abs(got - _wht_entropy_reference(count, n)) <= 2**m * n * 2**-52
+
+    def test_entropy_of_ten_codewords_on_four_pairs(self):
+        # the prefix-set value ubc_codebook's docstring quotes
+        assert round(codeword_entropy(10, 4), 3) == 1.706
+        # and a worked residual state: codewords 0..4 on three pairs are
+        # four theta-prefixed strings, which sum to 2|theta,00,00>, and
+        # |tau,theta,theta>; (2|theta,00,00> + |tau,theta,theta>)/sqrt5
+        # has Schmidt probabilities (5/8, 9/40, 1/40 x6)
+        expected = -((5 / 8) * math.log2(5 / 8) + (9 / 40) * math.log2(9 / 40)
+                     + 6 * (1 / 40) * math.log2(1 / 40))
+        assert abs(codeword_entropy(5, 3) - expected) < 1e-12
+
+    def test_entropy_validation(self):
+        for count, n in ((0, 3), (2**3 + 1, 3)):
+            with pytest.raises(ValueError, match="count"):
+                codeword_entropy(count, n)
+        # the transform would have 2^21 entries
+        with pytest.raises(ValueError, match="transform"):
+            codeword_entropy(2**20 + 1, 21)
 
 
 class TestGapScan:
