@@ -11,9 +11,7 @@ binomial sampling and the batching stopping rule
 from .exactmath import binom, inner_sum, inner_sum_table, log2_big, shannon_h
 from .teststate import (
     AmplitudeTable,
-    Encoding,
     EntanglementReport,
-    SlopeFit,
     TestStateSpec,
     amplitude_table,
     codeword_entropy,

@@ -90,12 +90,13 @@ def _grid(p: float, n_max: int, step: int | None = None) -> range:
     """
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"probability out of [0, 1]: {p}")
+    source = "--step"
     if step is None:
-        step = Fraction(p).limit_denominator(10**6).denominator
+        step, source = Fraction(p).limit_denominator(10**6).denominator, "inferred step"
     if step < 1:
         raise UsageError(f"--step must be >= 1, got {step}")
     if abs(step * p - round(step * p)) > 1e-9:
-        raise UsageError(f"step*p = {step * p} is not an integer")
+        raise UsageError(f"p = {p} with {source} {step}: step*p = {step * p} is not an integer")
     return range(step, n_max + 1, step)
 
 
@@ -141,8 +142,8 @@ def cmd_fig3(p_list: list[float], n_max: int) -> tuple[list[str], list[list[obje
             )
             rows.append([float(p), float("nan"), float("nan")])
             continue
-        fit = teststate.slope_fit(p, list(grid))
-        rows.append([float(p), fit.slope, fit.residual])
+        slope, _, residual = teststate.slope_fit(p, list(grid))
+        rows.append([float(p), slope, residual])
     return header, rows
 
 
@@ -157,7 +158,7 @@ def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
     failures = []
     for n in range(1, n_max + 1):
         for k in range(n + 1):
-            spec = teststate.TestStateSpec(n=n, k=k, encoding=teststate.Encoding.BELL)
+            spec = teststate.TestStateSpec(n=n, k=k)
             e_in_f = teststate.e_in(spec)
             e_out_f = teststate.e_out(spec)
             state = oracle.build_test_state(spec)
@@ -171,8 +172,7 @@ def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
             iso_dev = max(float(len(images) < math.comb(n, k)),
                           float(abs(out_state.amps - expected.amps).max()))
             # product encoding: relabeling must not move any entanglement
-            pstate = oracle.build_test_state(
-                teststate.TestStateSpec(n=n, k=k, encoding=teststate.Encoding.PRODUCT))
+            pstate = oracle.superpose_strings(oracle.permutation_strings(n, k), prod)
             pout = oracle.apply_ubc(pstate, n, k, prod)
             entry = {
                 "n": n,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .teststate import Encoding, TestStateSpec
+from .teststate import TestStateSpec
 
 __all__ = [
     "MAX_DENSE_PAIRS",
@@ -218,11 +218,11 @@ def codewords(count: int, width: int, n: int) -> list[tuple[int, ...]]:
 
 
 def build_test_state(spec: TestStateSpec) -> PureStateVector:
-    """Uniform superposition over all C(n, k) permutation strings, in the
-    pair encoding the spec names."""
+    """Uniform superposition over all C(n, k) permutation strings in the
+    Bell encoding, the state :mod:`triconc.teststate` has closed forms
+    for; other encodings go through :func:`superpose_strings`."""
     _check_cap(spec.n)  # before enumerating C(n, k) strings
-    enc = PairEncoding.bell() if spec.encoding is Encoding.BELL else PairEncoding.product()
-    return superpose_strings(permutation_strings(spec.n, spec.k), enc)
+    return superpose_strings(permutation_strings(spec.n, spec.k), PairEncoding.bell())
 
 
 def schmidt_spectrum(state: PureStateVector) -> np.ndarray:

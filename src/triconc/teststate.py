@@ -1,14 +1,10 @@
-"""Closed-form entanglement of compression test states.
+"""Closed-form entanglement of the Bell-encoded compression test state.
 
-A test state lives on n two-qubit pairs shared between two labs (call
+The test state lives on n two-qubit pairs shared between two labs (call
 them B and C, one qubit of every pair on each side).  Each pair carries
-one of two orthonormal signal states:
-
-* product encoding:  |00> and |11>;
-* Bell encoding:     (|00> + |11>)/sqrt2  and  (|00> - |11>)/sqrt2.
-
-The test state is the uniform superposition of all C(n, k) placements of
-k second-kind factors among the n pairs.  With the Bell encoding the
+one of the two Bell signal states (|00> + |11>)/sqrt2 and
+(|00> - |11>)/sqrt2, and the state is the uniform superposition of all
+C(n, k) placements of k second-kind factors among the n pairs.  The
 computational basis is a Schmidt basis across the B|C cut and the
 squared Schmidt coefficient of a weight-i string is
 
@@ -25,15 +21,17 @@ entanglement after the compression relabeling is n - log2 C(n, k) in
 the power-of-two idealization.  :func:`codeword_entropy` gives it
 exactly for the lexicographic codebook up to C(n, k) = 2^20, and for the
 residual state that batching (:mod:`triconc.protocol`) leaves, by the
-same per-term values and ordered sum.  With the product encoding both
-sides equal log2 C(n, k) and the gap vanishes.
+same per-term values and ordered sum.  Slope fits of the gap are plain
+``(slope, intercept, rms_residual)`` tuples.  The product encoding
+|00>/|11>, the reversible control, is a dense-oracle matter
+(:class:`triconc.oracle.PairEncoding`): relabeling orthogonal strings
+moves no entanglement, so it needs no closed form here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .exactmath import (
@@ -46,12 +44,10 @@ from .exactmath import (
 )
 
 __all__ = [
-    "Encoding",
     "TestStateSpec",
     "AmplitudeTable",
     "codeword_entropy",
     "EntanglementReport",
-    "SlopeFit",
     "amplitude_table",
     "e_in",
     "e_out",
@@ -64,22 +60,14 @@ __all__ = [
 _INTEGRALITY_TOL = 1e-9
 
 
-class Encoding(Enum):
-    """Signal-pair encoding: product |00>/|11> or Bell (|00> +- |11>)/sqrt2."""
-
-    PRODUCT = "product"
-    BELL = "bell"
-
-
 @dataclass(frozen=True)
 class TestStateSpec:
-    """n pairs, k second-kind factors, and the pair encoding."""
+    """n Bell-encoded pairs, k of them in the second-kind state."""
 
     __test__ = False  # not a pytest class, despite the name
 
     n: int
     k: int
-    encoding: Encoding = Encoding.BELL
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -173,60 +161,28 @@ class EntanglementReport:
             raise ValueError(f"e_out out of [0, n]: {self.e_out} at n={self.n}")
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    """Ordinary least-squares line through (n, gap) points."""
-
-    p: float
-    points: tuple[tuple[int, float], ...]
-    slope: float
-    intercept: float
-    residual: float  # root-mean-square residual of the fit
-
-
 def amplitude_table(spec: TestStateSpec) -> AmplitudeTable:
-    """Exact amplitude table of a Bell-encoded test state.
-
-    The product encoding has no amplitude table (its Schmidt spectrum is
-    flat over C(n, k) computational strings) and is rejected.
-    """
-    if spec.encoding is not Encoding.BELL:
-        raise ValueError(
-            "amplitude tables exist only for the Bell encoding; the product "
-            "encoding has a flat spectrum of rank C(n, k)"
-        )
+    """Exact amplitude table of the test state."""
     return AmplitudeTable(n=spec.n, k=spec.k, s=tuple(inner_sum_table(spec.n, spec.k)))
 
 
 def e_in(spec: TestStateSpec) -> float:
-    """Entanglement (ebits) of the test state across the B|C cut.
-
-    Bell encoding: entropy of the xi^2 spectrum.  Product encoding: the
-    permutation strings are orthogonal computational strings, so the
-    state is maximally entangled on a rank-C(n, k) subspace and the
-    entropy is log2 C(n, k).
-    """
-    if spec.encoding is Encoding.PRODUCT:
-        return log2_big(binom(spec.n, spec.k))
+    """Entanglement (ebits) of the test state across the B|C cut: the
+    entropy of its xi^2 spectrum."""
     return amplitude_table(spec).entropy()
 
 
 def e_out(spec: TestStateSpec) -> float:
     """Entanglement (ebits) after the compression relabeling.
 
-    Bell encoding: n - log2 C(n, k), exact when C(n, k) is a power of
-    two (all information pairs factor out and each trailing Bell pair
-    carries one ebit); for other C(n, k) this is the idealized value.
-    It is a lower bound on the output of any injective codebook (the
-    entropic uncertainty relation for the Walsh-Hadamard transform),
-    reached at powers of two and exceeded elsewhere; the batching
-    construction in :mod:`triconc.protocol` covers the exact stochastic
-    treatment.  Product encoding: relabeling orthogonal
-    computational strings preserves the flat rank-C(n, k) spectrum, so
-    the value is log2 C(n, k) and the gap is zero.
+    n - log2 C(n, k), exact when C(n, k) is a power of two (all
+    information pairs factor out and each trailing Bell pair carries one
+    ebit); for other C(n, k) this is the idealized value.  It is a lower
+    bound on the output of any injective codebook (the entropic
+    uncertainty relation for the Walsh-Hadamard transform), reached at
+    powers of two and exceeded elsewhere; the batching construction in
+    :mod:`triconc.protocol` covers the exact stochastic treatment.
     """
-    if spec.encoding is Encoding.PRODUCT:
-        return log2_big(binom(spec.n, spec.k))
     return spec.n - log2_big(binom(spec.n, spec.k))
 
 
@@ -241,7 +197,7 @@ def _k_for(n: int, p: float) -> int:
 
 
 def gap_scan(p: float, n_list: list[int]) -> list[EntanglementReport]:
-    """Entanglement reports for Bell-encoded test states with k = n*p.
+    """Entanglement reports for the test states with k = n*p.
 
     Every n in n_list must satisfy n*p integer (the scan takes k exactly,
     never averaged over the binomial spread).
@@ -251,7 +207,7 @@ def gap_scan(p: float, n_list: list[int]) -> list[EntanglementReport]:
     reports = []
     for n in n_list:
         k = _k_for(n, p)
-        spec = TestStateSpec(n=n, k=k, encoding=Encoding.BELL)
+        spec = TestStateSpec(n=n, k=k)
         reports.append(EntanglementReport(n=n, k=k, e_in=e_in(spec), e_out=e_out(spec)))
     return reports
 
@@ -278,15 +234,7 @@ def fit_line(points: list[tuple[float, float]]) -> tuple[float, float, float]:
     return slope, intercept, math.sqrt(rss / m)
 
 
-def slope_fit(p: float, n_list: list[int]) -> SlopeFit:
-    """OLS fit of gap(n) over an integer-n*p grid of at least 3 points."""
-    reports = gap_scan(p, n_list)
-    pts = [(r.n, r.gap) for r in reports]
-    slope, intercept, residual = fit_line(pts)
-    return SlopeFit(
-        p=p,
-        points=tuple(pts),
-        slope=slope,
-        intercept=intercept,
-        residual=residual,
-    )
+def slope_fit(p: float, n_list: list[int]) -> tuple[float, float, float]:
+    """:func:`fit_line` of gap(n) over an integer-n*p grid of at least 3
+    points: (slope, intercept, rms_residual)."""
+    return fit_line([(r.n, r.gap) for r in gap_scan(p, n_list)])

@@ -27,7 +27,6 @@ import numpy as np
 
 from triconc import (
     BatchConfig,
-    Encoding,
     PairEncoding,
     TestStateSpec,
     amplitude_table,
@@ -48,7 +47,7 @@ from triconc import (
     ubc_codebook,
     verify_n2_circuit,
 )
-from triconc.oracle import MAX_DENSE_PAIRS, codewords
+from triconc.oracle import MAX_DENSE_PAIRS, codewords, permutation_strings
 
 BELL = PairEncoding.bell()
 
@@ -60,7 +59,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 def test_c01_exact_four_pair_example():
     """amplitude_table(4,1) = (1/2, 1/4, 0, -1/4, -1/2) exactly; e_in = 3,
     e_out = 2 to 1e-12; runtime under 1 ms."""
-    spec = TestStateSpec(4, 1, Encoding.BELL)
+    spec = TestStateSpec(4, 1)
     amplitude_table(spec), e_in(spec), e_out(spec)  # warm caches/imports
     start = time.perf_counter()
     table = amplitude_table(spec)
@@ -87,26 +86,26 @@ def test_c01_exact_four_pair_example():
 def test_c02_gap_slope_at_p08():
     """OLS slope of gap(n) for p = 0.8 over n in {50,...,500}: 0.466 +- 0.01."""
     start = time.perf_counter()
-    fit = slope_fit(0.8, list(range(50, 501, 50)))
+    slope, _, residual = slope_fit(0.8, list(range(50, 501, 50)))
     elapsed = time.perf_counter() - start
-    ok = abs(fit.slope - 0.466) <= 0.01 and elapsed < 5.0
+    ok = abs(slope - 0.466) <= 0.01 and elapsed < 5.0
     _report("c02 slope p=0.8", ok,
-            f"slope={fit.slope:.6f} (target 0.466 +- 0.01), "
-            f"rms residual={fit.residual:.4f}, {elapsed:.2f} s")
-    assert abs(fit.slope - 0.466) <= 0.01
+            f"slope={slope:.6f} (target 0.466 +- 0.01), "
+            f"rms residual={residual:.4f}, {elapsed:.2f} s")
+    assert abs(slope - 0.466) <= 0.01
     assert elapsed < 5.0
 
 
 def test_c03_gap_slope_at_p05():
     """OLS slope of gap(n) for p = 0.5 over n in {50,...,500}: 0.56 +- 0.01."""
     start = time.perf_counter()
-    fit = slope_fit(0.5, list(range(50, 501, 50)))
+    slope, _, residual = slope_fit(0.5, list(range(50, 501, 50)))
     elapsed = time.perf_counter() - start
-    ok = abs(fit.slope - 0.56) <= 0.01 and elapsed < 5.0
+    ok = abs(slope - 0.56) <= 0.01 and elapsed < 5.0
     _report("c03 slope p=0.5", ok,
-            f"slope={fit.slope:.6f} (target 0.56 +- 0.01), "
-            f"rms residual={fit.residual:.4f}, {elapsed:.2f} s")
-    assert abs(fit.slope - 0.56) <= 0.01
+            f"slope={slope:.6f} (target 0.56 +- 0.01), "
+            f"rms residual={residual:.4f}, {elapsed:.2f} s")
+    assert abs(slope - 0.56) <= 0.01
     assert elapsed < 5.0
 
 
@@ -134,7 +133,7 @@ def test_c04_formula_vs_oracle_every_config():
     rows = []
     for n in range(1, 9):
         for k in range(n + 1):
-            spec = TestStateSpec(n, k, Encoding.BELL)
+            spec = TestStateSpec(n, k)
             state = build_test_state(spec)
             ein_oracle = entropy_of(schmidt_spectrum(state))
             worst_e_in = max(worst_e_in, abs(ein_oracle - e_in(spec)))
@@ -178,23 +177,25 @@ def test_c04_formula_vs_oracle_every_config():
 
 
 def test_c05_product_encoding_reversibility():
-    """Product encoding: gap = 0 to 1e-12 for every n <= 8, k <= n."""
+    """Product encoding, for every n <= 8, k <= n, on the dense oracle: the
+    test state's entropy is log2 C(n, k) and the relabeling moves none of
+    it, both to 1e-12."""
     enc = PairEncoding.product()
-    worst_formula = 0.0
-    worst_oracle = 0.0
+    worst_entropy = 0.0
+    worst_gap = 0.0
     for n in range(1, 9):
         for k in range(n + 1):
-            spec = TestStateSpec(n, k, Encoding.PRODUCT)
-            worst_formula = max(worst_formula, abs(e_in(spec) - e_out(spec)))
-            state = build_test_state(spec)
+            state = superpose_strings(permutation_strings(n, k), enc)
             out = apply_ubc(state, n, k, enc)
-            worst_oracle = max(worst_oracle, entanglement_delta(state, out))
-    ok = worst_formula < 1e-12 and worst_oracle < 1e-12
+            entropy = entropy_of(schmidt_spectrum(state))
+            worst_entropy = max(worst_entropy, abs(entropy - math.log2(math.comb(n, k))))
+            worst_gap = max(worst_gap, entanglement_delta(state, out))
+    ok = worst_entropy < 1e-12 and worst_gap < 1e-12
     _report("c05 product-encoding zero gap", ok,
-            f"worst formula gap {worst_formula:.2e}, "
-            f"worst oracle delta {worst_oracle:.2e}")
-    assert worst_formula < 1e-12
-    assert worst_oracle < 1e-12
+            f"worst |entropy - log2 C(n,k)| {worst_entropy:.2e}, "
+            f"worst relabeling gap {worst_gap:.2e}")
+    assert worst_entropy < 1e-12
+    assert worst_gap < 1e-12
 
 
 def test_c06_exact_normalization_to_n100():
@@ -202,7 +203,7 @@ def test_c06_exact_normalization_to_n100():
     start = time.perf_counter()
     for n in range(1, 101):
         for k in range(n + 1):
-            table = amplitude_table(TestStateSpec(n, k, Encoding.BELL))
+            table = amplitude_table(TestStateSpec(n, k))
             assert table.normalization() == 1, (n, k)
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0

@@ -55,6 +55,14 @@ class TestFig2:
         assert code == 2
         assert "not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["fig2", "--p", "1e-7"], ["fig3", "--p-list", "1e-7"]],
+                             ids=["fig2", "fig3"])
+    def test_unusable_inferred_step_names_p_and_step(self, args, tmp_path, capsys):
+        code, _ = run_cli(args + ["--n-max", "10"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "p = 1e-07 with inferred step 1: step*p = 1e-07 is not an integer" in err
+
     def test_default_step_inferred(self, tmp_path):
         code, text = run_cli(["fig2", "--p", "0.8", "--n-max", "25"], tmp_path)
         assert code == 0

@@ -27,7 +27,7 @@ from triconc.oracle import (
     ubc_codebook,
     verify_n2_circuit,
 )
-from triconc.teststate import Encoding, TestStateSpec, codeword_entropy, e_in, e_out
+from triconc.teststate import TestStateSpec, codeword_entropy, e_in, e_out
 
 BELL = PairEncoding.bell()
 PROD = PairEncoding.product()
@@ -151,8 +151,7 @@ class TestBuildTestState:
         assert np.allclose(m, expected, atol=1e-14)
 
     def test_product_encoding_n4_k1(self):
-        spec = TestStateSpec(4, 1, Encoding.PRODUCT)
-        state = build_test_state(spec)
+        state = superpose_strings(permutation_strings(4, 1), PROD)
         m = state.as_matrix()
         weight_one = [0b0001, 0b0010, 0b0100, 0b1000]
         for b in weight_one:
@@ -184,19 +183,15 @@ class TestBuildTestState:
 class TestKronReference:
     """The logical-tensor construction against explicit kron chains."""
 
-    @pytest.mark.parametrize(
-        "enc, encoding",
-        [(BELL, Encoding.BELL), (PROD, Encoding.PRODUCT)],
-        ids=["bell", "product"],
-    )
-    def test_every_config_up_to_six_pairs(self, enc, encoding):
+    @pytest.mark.parametrize("enc", [BELL, PROD], ids=["bell", "product"])
+    def test_every_config_up_to_six_pairs(self, enc):
         for n in range(1, 7):
             for k in range(n + 1):
                 strings = permutation_strings(n, k)
                 ref = kron_reference(strings, enc)
                 assert max_dev(superpose_strings(strings, enc), ref) < 1e-14
-                spec = TestStateSpec(n, k, encoding)
-                assert max_dev(build_test_state(spec), ref) < 1e-14
+                if enc is BELL:  # build_test_state is the Bell test state
+                    assert max_dev(build_test_state(TestStateSpec(n, k)), ref) < 1e-14
                 for bits in strings:
                     ref_one = kron_reference([bits], enc)
                     assert max_dev(string_state(bits, enc), ref_one) < 1e-14
@@ -225,8 +220,8 @@ def assert_same_spectrum(a: PureStateVector, b: PureStateVector) -> None:
 
 class TestDtype:
     def test_stock_encodings_stay_real(self):
-        for enc, encoding in ((BELL, Encoding.BELL), (PROD, Encoding.PRODUCT)):
-            state = build_test_state(TestStateSpec(5, 2, encoding))
+        for enc in (BELL, PROD):
+            state = superpose_strings(permutation_strings(5, 2), enc)
             out = apply_ubc(state, 5, 2, enc)
             circuit = (
                 Gate(side="B", kind="H", target=0),
@@ -499,10 +494,36 @@ class TestFormulaOracleEquivalence:
     def test_product_encoding_delta_vanishes(self):
         for n in range(1, 7):
             for k in range(n + 1):
-                spec = TestStateSpec(n, k, Encoding.PRODUCT)
-                state = build_test_state(spec)
+                state = superpose_strings(permutation_strings(n, k), PROD)
                 out = apply_ubc(state, n, k, PROD)
                 assert entanglement_delta(state, out) < 1e-12
+
+
+class TestProductControl:
+    """The product encoding |00>/|11>: relabeling orthogonal computational
+    strings keeps a flat rank-C(n, k) spectrum, so no entanglement moves."""
+
+    CONFIGS = [(n, k) for n in range(1, 9) for k in range(n + 1)]
+
+    @staticmethod
+    def _states(n, k):
+        state = superpose_strings(permutation_strings(n, k), PROD)
+        return state, apply_ubc(state, n, k, PROD)
+
+    def test_product_encoding_is_flat_rank(self):
+        for n, k in self.CONFIGS + [(10, 5)]:
+            count = math.comb(n, k)
+            for state in self._states(n, k):
+                probs = schmidt_spectrum(state)
+                assert probs.shape == (count,), (n, k)
+                assert np.max(np.abs(probs - 1.0 / count)) < 1e-12, (n, k)
+
+    def test_product_encoding_gap_exactly_zero(self):
+        # e_in = e_out = log2 C(n, k), the values of the flat spectrum
+        for n, k in self.CONFIGS:
+            for state in self._states(n, k):
+                entropy = entropy_of(schmidt_spectrum(state))
+                assert abs(entropy - math.log2(math.comb(n, k))) < 1e-12, (n, k)
 
 
 class TestCodewords:

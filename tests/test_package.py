@@ -37,3 +37,21 @@ def test_oracle_takes_nothing_from_exactmath():
     borrowed = [n for n, v in vars(triconc.oracle).items()
                 if getattr(v, "__module__", None) == "triconc.exactmath"]
     assert borrowed == []
+
+
+def _origin(value) -> str:
+    if isinstance(value, types.ModuleType):
+        return value.__name__
+    return getattr(value, "__module__", None) or ""
+
+
+def test_encodings_live_in_the_oracle():
+    # pair encodings are dense-state matrices; teststate is the closed forms
+    # of the Bell test state and needs neither numpy nor the oracle
+    oracle_borrowed = {n for n, v in vars(triconc.oracle).items()
+                       if _origin(v) == "triconc.teststate"}
+    assert oracle_borrowed == {"TestStateSpec"}
+    teststate_borrowed = [n for n, v in vars(triconc.teststate).items()
+                          if _origin(v).split(".")[0] == "numpy"
+                          or _origin(v) == "triconc.oracle"]
+    assert teststate_borrowed == []

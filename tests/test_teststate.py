@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from triconc.exactmath import binom, inner_sum, log2_big
 from triconc.teststate import (
-    Encoding,
     TestStateSpec,
     amplitude_table,
     codeword_entropy,
@@ -20,14 +19,6 @@ from triconc.teststate import (
     gap_scan,
     slope_fit,
 )
-
-
-def bell_spec(n, k):
-    return TestStateSpec(n=n, k=k, encoding=Encoding.BELL)
-
-
-def product_spec(n, k):
-    return TestStateSpec(n=n, k=k, encoding=Encoding.PRODUCT)
 
 
 def _entropy_reference(table) -> float:
@@ -59,7 +50,7 @@ class TestSpecValidation:
 
 class TestAmplitudeTable:
     def test_worked_example_n4_k1(self):
-        table = amplitude_table(bell_spec(4, 1))
+        table = amplitude_table(TestStateSpec(4, 1))
         assert table.s == (4, 2, 0, -2, -4)
         assert table.xi_sq == (
             Fraction(1, 4),
@@ -82,55 +73,41 @@ class TestAmplitudeTable:
         ]
 
     def test_single_pair(self):
-        table = amplitude_table(bell_spec(1, 0))
+        table = amplitude_table(TestStateSpec(1, 0))
         assert table.xi_sq == (Fraction(1, 2), Fraction(1, 2))
 
     def test_n2_k1_signs(self):
-        table = amplitude_table(bell_spec(2, 1))
+        table = amplitude_table(TestStateSpec(2, 1))
         assert table.xi_sq == (Fraction(1, 2), Fraction(0), Fraction(1, 2))
         assert table.s[0] > 0 and table.s[1] == 0 and table.s[2] < 0
-
-    def test_product_encoding_rejected(self):
-        with pytest.raises(ValueError):
-            amplitude_table(product_spec(4, 1))
 
     def test_exact_normalization_all_k_to_n40(self):
         for n in range(1, 41):
             for k in range(n + 1):
-                table = amplitude_table(bell_spec(n, k))
+                table = amplitude_table(TestStateSpec(n, k))
                 assert table.normalization() == 1
                 assert sum(binom(n, i) * q for i, q in enumerate(table.xi_sq)) == 1
                 assert all(q >= 0 for q in table.xi_sq)
 
     def test_normalization_method_matches_integer_identity(self):
-        table = amplitude_table(bell_spec(12, 5))
+        table = amplitude_table(TestStateSpec(12, 5))
         lhs = sum(binom(12, i) * s * s for i, s in enumerate(table.s))
         assert lhs == (1 << 12) * binom(12, 5)
 
 
 class TestEntropies:
     def test_worked_example_values(self):
-        assert abs(e_in(bell_spec(4, 1)) - 3.0) < 1e-12
-        assert abs(e_out(bell_spec(4, 1)) - 2.0) < 1e-12
+        assert abs(e_in(TestStateSpec(4, 1)) - 3.0) < 1e-12
+        assert abs(e_out(TestStateSpec(4, 1)) - 2.0) < 1e-12
 
     def test_two_pair_values(self):
-        assert abs(e_in(bell_spec(2, 1)) - 1.0) < 1e-12
-        assert abs(e_out(bell_spec(2, 1)) - 1.0) < 1e-12
-
-    def test_product_encoding_is_flat_rank(self):
-        assert abs(e_in(product_spec(4, 1)) - 2.0) < 1e-12
-        assert abs(e_out(product_spec(4, 1)) - 2.0) < 1e-12
-
-    def test_product_encoding_gap_exactly_zero(self):
-        for n in range(1, 11):
-            for k in range(n + 1):
-                spec = product_spec(n, k)
-                assert e_in(spec) == e_out(spec) == log2_big(binom(n, k))
+        assert abs(e_in(TestStateSpec(2, 1)) - 1.0) < 1e-12
+        assert abs(e_out(TestStateSpec(2, 1)) - 1.0) < 1e-12
 
     def test_all_theta_is_n_bell_pairs(self):
         for n in (1, 3, 7, 25):
-            assert abs(e_in(bell_spec(n, 0)) - n) < 1e-12
-            assert abs(e_out(bell_spec(n, 0)) - n) < 1e-12
+            assert abs(e_in(TestStateSpec(n, 0)) - n) < 1e-12
+            assert abs(e_out(TestStateSpec(n, 0)) - n) < 1e-12
 
     def test_e_in_by_reciprocity_without_recurrence(self):
         # Reciprocity C(n,i) S_i(n,k) = C(n,k) S_k(n,i) turns the weight
@@ -149,32 +126,32 @@ class TestEntropies:
                 if s:
                     weight = s * inner_sum(n, i, k) / (1 << n)
                     total -= weight * (2 * math.log2(abs(s)) - log2_norm)
-            worst = max(worst, abs(total - e_in(bell_spec(n, k))))
+            worst = max(worst, abs(total - e_in(TestStateSpec(n, k))))
         assert worst < 1e-12, worst
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
     def test_entropy_bit_identical_to_reference(self, nk):
-        table = amplitude_table(bell_spec(*nk))
+        table = amplitude_table(TestStateSpec(*nk))
         assert table.entropy() == _entropy_reference(table)
 
     @pytest.mark.parametrize("n,k", [(1, 1), (3, 1), (3, 2), (7, 7), (99, 33),
                                      (1999, 333), (2001, 1000), (2001, 1001)])
     def test_entropy_bit_identical_at_odd_n_and_k(self, n, k):
         # odd n has no middle weight; odd k flips the sign of every mirror S_i
-        table = amplitude_table(bell_spec(n, k))
+        table = amplitude_table(TestStateSpec(n, k))
         assert table.entropy() == _entropy_reference(table)
 
     def test_entropy_bit_identical_with_half_the_weights_zero(self):
         # at p = 1/2 every odd-weight S_i vanishes: 1000 of 2001 at n = 2000
-        table = amplitude_table(bell_spec(2000, 1000))
+        table = amplitude_table(TestStateSpec(2000, 1000))
         assert sum(1 for v in table.s if v == 0) == 1000
         assert table.entropy() == _entropy_reference(table)
 
     def test_bounds(self):
         for n in range(1, 61, 7):
             for k in range(0, n + 1, 3):
-                spec = bell_spec(n, k)
+                spec = TestStateSpec(n, k)
                 assert -1e-12 <= e_in(spec) <= n + 1e-9
                 assert -1e-12 <= e_out(spec) <= n + 1e-9
 
@@ -271,21 +248,20 @@ class TestFits:
         with pytest.raises(ValueError):
             slope_fit(0.5, [2, 4])
 
-    def test_slope_fit_carries_points(self):
-        fit = slope_fit(0.5, [10, 20, 30, 40])
-        assert fit.p == 0.5
-        assert [x for x, _ in fit.points] == [10, 20, 30, 40]
-        assert math.isfinite(fit.slope)
+    def test_slope_fit_is_fit_line_of_gap_scan(self):
+        ns = [10, 20, 30, 40]
+        expected = fit_line([(r.n, r.gap) for r in gap_scan(0.5, ns)])
+        assert slope_fit(0.5, ns) == expected  # bit for bit
 
     def test_fit_independent_of_builtin_sum(self, compensated_sum):
         # the fig3 row at p = 1/2, n <= 500 as its JSON form prints it;
         # a compensated sum moves both floats (slope 0.5566575383147027)
-        fit = slope_fit(0.5, list(range(2, 501, 2)))
-        assert (fit.slope, fit.residual) == (0.556657538314703, 0.10496627065657309)
+        slope, _, residual = slope_fit(0.5, list(range(2, 501, 2)))
+        assert (slope, residual) == (0.556657538314703, 0.10496627065657309)
 
     def test_symmetric_p_gives_identical_fit(self):
         # relabeling theta <-> tau flips amplitude signs only
-        up = slope_fit(0.8, list(range(5, 105, 5)))
-        down = slope_fit(0.2, list(range(5, 105, 5)))
-        assert abs(up.slope - down.slope) < 1e-9
-        assert abs(up.residual - down.residual) < 1e-9
+        up_slope, _, up_residual = slope_fit(0.8, list(range(5, 105, 5)))
+        down_slope, _, down_residual = slope_fit(0.2, list(range(5, 105, 5)))
+        assert abs(up_slope - down_slope) < 1e-9
+        assert abs(up_residual - down_residual) < 1e-9
