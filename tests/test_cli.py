@@ -1,5 +1,6 @@
 """End-to-end CLI contracts: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -248,6 +249,22 @@ class TestBatch:
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.2, seed=0xC0FFEE)
         _, _, summary = cli.cmd_batch(cfg, trials=25)
         assert summary == {"mean_m": 3.48, "stderr_m": 0.40049968789001567}
+
+    @pytest.mark.parametrize(("args", "sha256"), [
+        ("--epsilon 0.001 --trials 200",
+         "087a90ea53a3092e52278e802aaf5ac766f8ba190777e1275eedfc31c8003996"),
+        ("--n 50 --p 0.8 --epsilon 0.001 --trials 100",
+         "e8aa0b4ef30223fd41d6594e477cee55be318b6b6f9619e429f22f258d5fdc2b"),
+        # three of the five trials truncate at 10 000 batches
+        ("--n 3 --p 0.5 --epsilon 1e-6 --trials 5",
+         "d958dda5b8bbaff90d64462680c21d93a322d378f567b74d67d72ca63423099e"),
+    ])
+    def test_pinned_bytes(self, tmp_path, args, sha256):
+        # sha256 of the dataset from the per-batch loop that run_batches
+        # replaced (one scalar draw and one exact product per batch)
+        code, text = run_cli(["batch", *args.split()], tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
     def test_json_summary(self, tmp_path):
         code, text = run_cli(

@@ -6,13 +6,50 @@ import numpy as np
 import pytest
 
 from triconc import protocol
-from triconc.exactmath import binom
+from triconc.exactmath import binom, log2_big
 from triconc.protocol import (
     BatchConfig,
     TruncationError,
     run_batches,
     sample_k,
 )
+
+
+def _reference_run_batches(cfg: BatchConfig, run_index: int = 0):
+    """The stopping rule as one scalar draw and one exact product per
+    batch: run_batches before the walk on the circle, kept verbatim."""
+    rng = np.random.default_rng([cfg.seed, run_index])
+    d_exact: int | None = 1
+    log2_d = 0.0
+    k_list: list[int] = []
+    for m in range(1, protocol._MAX_BATCHES + 1):
+        k = sample_k(cfg.n, cfg.p, rng)
+        k_list.append(k)
+        step = binom(cfg.n, k)
+        if d_exact is not None:
+            d_exact *= step
+            if d_exact.bit_length() > protocol._EXACT_BITS:
+                log2_d = log2_big(d_exact)
+                d_exact = None
+        else:
+            log2_d += log2_big(step)
+        if d_exact is not None:
+            l = d_exact.bit_length() - 1
+            eps_prime = (d_exact - (1 << l)) / (1 << l)
+        else:
+            l = math.floor(log2_d)
+            eps_prime = 2.0 ** (log2_d - l) - 1.0
+        if eps_prime <= cfg.epsilon:
+            return protocol._stats(m, k_list, l, eps_prime, cfg)
+    raise TruncationError(protocol._stats(protocol._MAX_BATCHES, k_list, l, eps_prime, cfg))
+
+
+def _outcome(run, cfg: BatchConfig, run_index: int):
+    """("ok", stats) or ("truncated", the partial stats) of one run."""
+    try:
+        return "ok", run(cfg, run_index)
+    except TruncationError as err:
+        return "truncated", err.stats
 
 
 class TestSampleK:
@@ -122,6 +159,33 @@ class TestRunBatches:
             run_batches(cfg, run_index=0)
         assert _check_float_path(err.value.stats, 20, 64)
 
+    def test_block_draws_equal_scalar_draws(self):
+        # run_batches draws k in doubling blocks; its results equal one
+        # sample_k per batch only because a block of B values is the
+        # same as B scalar draws from an identically seeded generator.
+        for n in (1, 3, 20, 50, 100):
+            for p in (0.0, 0.3, 0.5, 0.8, 1.0):
+                for seed in range(3):
+                    blocks = np.random.default_rng([seed, n])
+                    scalar = np.random.default_rng([seed, n])
+                    for size in (16, 32, 64, 128, 256):
+                        drawn = blocks.binomial(n, p, size=size).tolist()
+                        assert drawn == [sample_k(n, p, scalar) for _ in range(size)]
+
+    def test_results_are_plain_python(self):
+        # np.int64 in a field would make `batch --format json` fail
+        configs = [(BatchConfig(n=20, p=0.5, epsilon=e), r)
+                   for e in (0.1, 0.001) for r in range(5)]
+        configs.append((BatchConfig(n=3, p=0.5, epsilon=1e-6), 1))  # truncates
+        for cfg, run in configs:
+            _, stats = _outcome(run_batches, cfg, run)
+            for name in ("m_batches", "l", "n_total"):
+                assert type(getattr(stats, name)) is int, name
+            for name in ("eps_prime", "gamma_log2", "gamma_entropy_bound"):
+                assert type(getattr(stats, name)) is float, name
+            assert type(stats.k_list) is tuple
+            assert all(type(k) is int for k in stats.k_list)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BatchConfig(n=0, p=0.5, epsilon=0.1)
@@ -156,3 +220,41 @@ def _check_float_path(stats, n: int, exact_bits: int) -> bool:
     delta = adds * (math.ulp(64.0) + math.ulp(2.0 * d.bit_length()))
     assert abs(stats.eps_prime - exact) <= 2 * delta, (stats.m_batches, switch)
     return True
+
+
+class TestMatchesReference:
+    """run_batches returns the same BatchRunStats as the per-batch loop."""
+
+    @pytest.mark.parametrize(("n", "p", "epsilon", "runs"), [
+        (20, 0.5, 0.1, 2000),
+        (20, 0.5, 0.01, 500),
+        (20, 0.5, 0.001, 150),   # about a third of the runs pass 10^4 bits
+        (50, 0.8, 0.001, 100),
+        (7, 0.3, 0.01, 300),
+        (20, 0.0, 0.01, 20),
+        (20, 1.0, 0.01, 20),
+        (3, 0.5, 1e-6, 12),     # most runs truncate at _MAX_BATCHES
+        (3, 0.9, 1e-6, 6),
+    ])
+    def test_default_limits(self, n, p, epsilon, runs):
+        cfg = BatchConfig(n=n, p=p, epsilon=epsilon, seed=0xC0FFEE)
+        outcomes = []
+        for run in range(runs):
+            outcomes.append(_outcome(run_batches, cfg, run))
+            assert outcomes[-1] == _outcome(_reference_run_batches, cfg, run), run
+        if epsilon == 1e-6:
+            assert any(status == "truncated" for status, _ in outcomes)
+
+    @pytest.mark.parametrize(("exact_bits", "max_batches"), [
+        (64, None), (64, 3), (64, 20), (None, 3), (None, 20),
+    ])
+    def test_patched_limits(self, monkeypatch, exact_bits, max_batches):
+        if exact_bits is not None:
+            monkeypatch.setattr(protocol, "_EXACT_BITS", exact_bits)
+        if max_batches is not None:
+            monkeypatch.setattr(protocol, "_MAX_BATCHES", max_batches)
+        for n, p, epsilon in ((20, 0.5, 0.1), (20, 0.5, 0.001), (7, 0.3, 0.01)):
+            cfg = BatchConfig(n=n, p=p, epsilon=epsilon, seed=7)
+            for run in range(200):
+                assert (_outcome(run_batches, cfg, run)
+                        == _outcome(_reference_run_batches, cfg, run)), (n, run)
