@@ -9,9 +9,10 @@ Equivalently, ``amps.reshape(2**n, 2**n)[b, c]`` is the amplitude of
 the B|C cut wants.
 
 The module knows nothing about closed forms: it builds permutation test
-states explicitly, extracts Schmidt spectra by SVD (as plain arrays of
-probabilities), applies the compression relabeling as an explicit change
-of basis, and simulates one-sided circuits (tuples of :class:`Gate`)
+states explicitly, takes Schmidt spectra as the eigenvalues of the
+reduced density matrix (as plain arrays of probabilities), applies the
+compression relabeling as an explicit change of basis, and simulates
+one-sided circuits (tuples of :class:`Gate`)
 gate by gate: each gate's 2x2 (or, for CNOT, 4x4) matrix is contracted
 with the qubit axes it acts on, so no operator as large as the state is
 ever formed.  Single strings and test states are uniform superpositions
@@ -226,16 +227,21 @@ def build_test_state(spec: TestStateSpec) -> PureStateVector:
 
 
 def schmidt_spectrum(state: PureStateVector) -> np.ndarray:
-    """Schmidt probabilities of the B-side reduction, by SVD: the squared
-    singular values above 1e-14, in descending order (float64).
+    """Schmidt probabilities across B|C: the eigenvalues of the reduced
+    density matrix rho_B = M M^dagger above 1e-14, in descending order
+    (float64).
 
-    SVD covers both the diagonal states built here and arbitrary circuit
-    outputs.
+    rho_B is Hermitian with trace 1, so by Weyl's bound each eigenvalue
+    is off by at most the rounding in forming rho_B plus the Hermitian
+    solver's backward error, both O(d eps) for d = 2^n; squaring M's
+    condition number costs digits in its singular values, not in these
+    probabilities.  For real states ``m.conj()`` is ``m`` itself and the
+    product runs as one symmetric rank-k update.
     """
     if not abs(state.norm() - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"state is not normalized: |amps| = {state.norm()}")
-    sv = np.linalg.svd(state.as_matrix(), compute_uv=False)
-    probs = sv * sv
+    m = state.as_matrix()
+    probs = np.linalg.eigvalsh(m @ m.conj().T)[::-1]  # ascending -> descending
     return probs[probs > 1e-14]
 
 

@@ -99,6 +99,16 @@ def dense_circuit_reference(state: PureStateVector, circuit: tuple[Gate, ...]) -
     return m.reshape(-1)
 
 
+def random_gate(rng: np.random.Generator, n: int, kind: str) -> Gate:
+    """One gate of the given kind on a random side and random pairs of n."""
+    side = "B" if rng.integers(0, 2) else "C"
+    target = int(rng.integers(0, n))
+    if kind == "CNOT":
+        control = int((target + 1 + rng.integers(0, n - 1)) % n)
+        return Gate(side=side, kind=kind, control=control, target=target)
+    return Gate(side=side, kind=kind, target=target)
+
+
 @st.composite
 def local_circuits(draw) -> tuple[int, tuple[Gate, ...]]:
     """A pair count n <= 4 and up to six gates of every kind on both sides."""
@@ -212,6 +222,35 @@ class TestKronReference:
         assert abs(state.norm() - 1.0) < 1e-14
 
 
+def svd_probs(state: PureStateVector) -> np.ndarray:
+    """Reference Schmidt probabilities: squared singular values of the
+    (B, C) amplitude matrix, descending, with the same 1e-14 cut."""
+    probs = np.linalg.svd(state.as_matrix(), compute_uv=False) ** 2
+    return probs[probs > 1e-14]
+
+
+def spectrum_tol(n: int) -> float:
+    """Largest |p - p_svd| that rounding can explain for a unit state on n
+    pairs, with d = 2^n and eps the float64 unit roundoff.
+
+    - Forming rho_B = M M^dagger: each entry is a length-d dot product,
+      off by at most sqrt(2) (d + 2) eps |m_i| |m_j| in complex arithmetic
+      (Higham, Lemma 3.5 and eq. 3.5), so the error matrix has Frobenius
+      norm <= sqrt(2) (d + 2) eps |M|_F^2 <= 3 d eps for d >= 2.
+    - eigvalsh is backward stable: its eigenvalues are exact for a matrix
+      within p(d) eps |rho_B|_2 of rho_B, and |rho_B|_2 <= tr rho_B = 1.
+      LAPACK calls p(d) a modestly growing function; take p(d) = d.
+    - Weyl's bound moves each eigenvalue by at most the 2-norm of the
+      perturbation, so p is off by at most the sum of the two: 4 d eps.
+    - The SVD reference is backward stable too: |s - s_exact| <= d eps |M|_2,
+      and with s + s_exact <= 2 its squares are off by at most 2 d eps.
+
+    Together 6 d eps; the observed worst case is about d eps at n = 1 and
+    far below it at larger n.
+    """
+    return 6 * (1 << n) * np.finfo(np.float64).eps
+
+
 def assert_same_spectrum(a: PureStateVector, b: PureStateVector) -> None:
     pa, pb = schmidt_spectrum(a), schmidt_spectrum(b)
     assert pa.shape == pb.shape
@@ -264,6 +303,60 @@ class TestSchmidtSpectrum:
         probs = schmidt_spectrum(build_test_state(TestStateSpec(4, 1)))
         assert abs(entropy_of(probs) - 3.0) < 1e-12
         assert abs(probs.sum() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_svd_on_random_states(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for amps in (rng.normal(size=4**n),
+                     rng.normal(size=4**n) + 1j * rng.normal(size=4**n)):
+            state = PureStateVector(n_pairs=n, amps=amps / np.linalg.norm(amps))
+            probs, ref = schmidt_spectrum(state), svd_probs(state)
+            assert probs.shape == ref.shape
+            assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
+
+    def test_matches_svd_on_circuit_outputs(self):
+        # A random one-sided circuit on every test state up to 8 pairs; each
+        # circuit holds every gate kind the pair count allows, on random sides.
+        rng = np.random.default_rng(0x5EED)
+        for n in range(1, 9):
+            kinds = ["CNOT", "X", "Z", "H"] if n > 1 else ["X", "Z", "H"]
+            for k in range(n + 1):
+                gates = [random_gate(rng, n, str(kind))
+                         for kind in kinds * 2 + list(rng.choice(kinds, size=4))]
+                rng.shuffle(gates)
+                out = apply_local_circuit(build_test_state(TestStateSpec(n, k)),
+                                          tuple(gates))
+                probs, ref = schmidt_spectrum(out), svd_probs(out)
+                assert probs.shape == ref.shape
+                assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
+
+    def test_keeps_the_conjugate_for_complex_encodings(self):
+        # Two columns of a random 4x4 unitary: a generic complex signal pair.
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        enc = PairEncoding(theta=q[:, 0].reshape(2, 2), tau=q[:, 1].reshape(2, 2))
+        for n, k in [(1, 0), (3, 1), (4, 2), (6, 3)]:
+            state = superpose_strings(permutation_strings(n, k), enc)
+            m, ref = state.as_matrix(), svd_probs(state)
+            # the state is a witness: dropping the conjugate changes its spectrum
+            dropped = np.linalg.eigvalsh(m @ m.T)[::-1]
+            assert np.max(np.abs(dropped[:len(ref)] - ref)) > 1e-3
+            probs = schmidt_spectrum(state)
+            assert probs.shape == ref.shape
+            assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
+
+    def test_output_contract(self):
+        # float64 for complex input too, non-increasing, nothing at or below
+        # the cut, and SVD's count on rank-deficient states.
+        state = build_test_state(TestStateSpec(10, 5))
+        relabeled = apply_ubc(state, 10, 5, BELL)
+        phased = superpose_strings(permutation_strings(6, 3), PHASED)
+        for s, count in [(state, 512), (relabeled, 256), (phased, 32)]:
+            probs = schmidt_spectrum(s)
+            assert probs.dtype == np.float64
+            assert np.all(np.diff(probs) <= 0.0)
+            assert probs.min() > 1e-14
+            assert len(probs) == count == len(svd_probs(s))
 
     def test_rejects_unnormalized(self):
         bad = PureStateVector(n_pairs=1, amps=np.array([1.0, 0, 0, 1.0], dtype=complex))
@@ -419,7 +512,7 @@ class TestLocalCircuits:
         assert fidelity(via_circuit, via_codebook) > 1 - 1e-10
 
     def test_hadamard_keeps_bell_pair_maximally_entangled(self):
-        # produces a non-diagonal B|C matrix, exercising the general SVD path
+        # produces a non-diagonal B|C matrix, so rho_B = M M^dagger is not diagonal
         circuit = (Gate(side="B", kind="H", target=0),)
         out = apply_local_circuit(string_state((0,), BELL), circuit)
         assert abs(entropy_of(schmidt_spectrum(out)) - 1.0) < 1e-12
@@ -432,18 +525,9 @@ class TestLocalCircuits:
             amps = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
             amps /= np.linalg.norm(amps)
             state = PureStateVector(n_pairs=n, amps=amps)
-            gates = []
-            for _ in range(rng.integers(1, 5)):
-                kind = kinds[rng.integers(0, len(kinds))]
-                side = "B" if rng.integers(0, 2) else "C"
-                target = int(rng.integers(0, n))
-                if kind == "CNOT":
-                    control = int((target + 1 + rng.integers(0, n - 1)) % n)
-                    gates.append(Gate(side=side, kind=kind, control=control,
-                                      target=target))
-                else:
-                    gates.append(Gate(side=side, kind=kind, target=target))
-            out = apply_local_circuit(state, tuple(gates))
+            gates = tuple(random_gate(rng, n, kinds[rng.integers(0, len(kinds))])
+                          for _ in range(rng.integers(1, 5)))
+            out = apply_local_circuit(state, gates)
             assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
             assert entanglement_delta(state, out) < 1e-10
 
