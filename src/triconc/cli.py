@@ -18,7 +18,14 @@ emits the same rows as a strict JSON document, with null where CSV
 prints nan.
 
 Exit codes: 0 success, 1 oracle-check found a delta, 2 bad input or an
-unwritable --out, 3 internal error (any other fault, e.g. a failed invariant).
+unwritable --out, 3 internal error (any other fault, e.g. a failed invariant
+or, for oracle-check, batch and eof, a numpy that cannot be imported).
+
+Importing this module loads no numpy: fig2 and fig3 are exact integer
+arithmetic and never touch it.  oracle-check imports the dense oracle,
+and batch and eof import numpy, only when they run.  protocol and eof
+are still imported here, at module level, so that tools which wrap the
+package's functions after importing this module find them loaded.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import sys
 from fractions import Fraction
 
 from . import eof as eof_mod
-from . import oracle, protocol, teststate
+from . import protocol, teststate
 from .exactmath import ordered_sum
 
 DEFAULT_SEED = 0xC0FFEE
@@ -150,6 +157,8 @@ def cmd_fig3(p_list: list[float], n_max: int) -> tuple[list[str], list[list[obje
 # ---------------------------------------------------------- oracle-check
 
 def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
+    from . import oracle  # the only command that builds dense states
+
     if not 1 <= n_max <= 8:
         raise UsageError(f"--n-max must be in [1, 8] for the oracle, got {n_max}")
     bell = oracle.PairEncoding.bell()

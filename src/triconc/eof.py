@@ -6,18 +6,22 @@ entanglement of formation follows from the concurrence construction:
 C(rho) from the spin-flipped spectrum, then E_F = H((1+sqrt(1-C^2))/2).
 The ledger also records the per-copy output value 1 - H(p), the locking
 deficit H(1/2 + sqrt(p(1-p))) + H(p) - 1 that assistance from A would
-have to fund, and the conserved one-party entropies.
+have to fund, and the conserved one-party entropies.  The module
+imports numpy (and the oracle's Bell pair) inside the functions that
+use them, so that importing it loads neither.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exactmath import shannon_h
-from .oracle import PairEncoding
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EofLedger",
@@ -27,8 +31,14 @@ __all__ = [
     "ledger",
 ]
 
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_YY = np.kron(_PAULI_Y, _PAULI_Y)
+
+@functools.cache
+def _yy() -> np.ndarray:
+    """Y x Y, built on first use so that importing the module loads no numpy."""
+    import numpy as np
+
+    pauli_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    return np.kron(pauli_y, pauli_y)
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,10 @@ def rp_reduced_bc(p: float) -> np.ndarray:
     :meth:`PairEncoding.bell`, so the result is Bell-diagonal by
     construction.
     """
+    import numpy as np
+
+    from .oracle import PairEncoding
+
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of [0, 1]: {p}")
     enc = PairEncoding.bell()
@@ -69,6 +83,8 @@ def rp_reduced_bc(p: float) -> np.ndarray:
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:  # NaN fails too
@@ -93,11 +109,13 @@ def concurrence(rho: np.ndarray) -> float:
     Eigenvalues of rho below 1e-14 of the largest are treated as the
     exact zeros they represent.
     """
+    import numpy as np
+
     rho = _check_density(np.asarray(rho, dtype=complex))
     w, v = np.linalg.eigh(rho)
     w = np.where(w < w.max() * 1e-14, 0.0, w)
     sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    a = sqrt_rho @ _YY @ sqrt_rho.conj()
+    a = sqrt_rho @ _yy() @ sqrt_rho.conj()
     lam = np.linalg.svd(a, compute_uv=False)
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 

@@ -25,7 +25,6 @@ __all__ = [
     "shannon_h",
     "ordered_sum",
     "entropy_terms",
-    "inner_sum",
     "inner_sum_table",
 ]
 
@@ -108,26 +107,6 @@ def entropy_terms(terms, count: int, shift: int):
         yield -((mult * w) / total_w * (log2_big(w) - log2_total))
 
 
-def inner_sum(n: int, k: int, i: int) -> int:
-    """Signed integer amplitude sum S_i for the weight-i Schmidt class.
-
-    S_i = sum_x (-1)^x * C(n-i, k-x) * C(i, x) over the x where both
-    binomials are nonzero.  The squared amplitude of a weight-i string
-    in the (n, k) test state is S_i**2 / (2**n * C(n, k)).
-    """
-    if not (0 <= k <= n):
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not (0 <= i <= n):
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    lo = max(0, i - (n - k))
-    hi = min(i, k)
-    total = 0
-    for x in range(lo, hi + 1):
-        term = math.comb(n - i, k - x) * math.comb(i, x)
-        total += -term if (x & 1) else term
-    return total
-
-
 def inner_sum_table(n: int, k: int) -> list[int]:
     """All inner sums S_0 .. S_n for fixed (n, k), in O(n) integer steps.
 
@@ -135,10 +114,16 @@ def inner_sum_table(n: int, k: int) -> list[int]:
 
         (n - i) * S_{i+1} = (n - 2k) * S_i - i * S_{i-1},
 
-    whose divisions are exact in integer arithmetic.  Equivalent to
-    calling inner_sum for each i (the test suite cross-checks the two
-    routes), but turns the O(n^2) table into O(n), which is what makes
-    dense scans up to n = 500 cheap.
+    whose divisions are exact in integer arithmetic, with S_i the signed
+    amplitude sum of the weight-i Schmidt class,
+
+        S_i = sum_x (-1)^x * C(n-i, k-x) * C(i, x),
+
+    so that a weight-i string of the (n, k) test state has squared
+    amplitude S_i**2 / (2**n * C(n, k)).  Summing that definition for
+    each i (the test suite's reference, which it cross-checks against
+    this table) takes O(n^2) terms; the recurrence takes O(n), which is
+    what makes dense scans up to n = 500 cheap.
     """
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")

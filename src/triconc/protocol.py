@@ -16,7 +16,8 @@ Reproducibility: every stochastic entry point takes an explicit seed;
 independent runs derive their streams from (seed, run_index) so trials
 can be evaluated in any order or in parallel with identical results.
 Because no two runs share a stream, draws a run makes past its stopping
-batch change nothing that any run reports.
+batch change nothing that any run reports.  The streams are numpy's;
+run_batches imports numpy when it is first called, not at import.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exactmath import binom, log2_big
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BatchConfig",
@@ -161,6 +164,8 @@ def run_batches(cfg: BatchConfig, run_index: int = 0) -> BatchRunStats:
     (log2(1 + epsilon), 1), where eps_prime exceeds epsilon by about
     (1 + epsilon) delta ln(2) / 2, far more than any rounding.
     """
+    import numpy as np  # here, so that importing the module loads no numpy
+
     exact_bits, max_batches = _EXACT_BITS, _MAX_BATCHES
     n, epsilon = cfg.n, cfg.epsilon
     window = math.log2(1.0 + epsilon) + _DELTA

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refsums import inner_sum
 from triconc.exactmath import (
     binom,
     binomial_row,
     entropy_terms,
-    inner_sum,
     inner_sum_table,
     log2_big,
     ordered_sum,

@@ -1,11 +1,33 @@
-"""The import surface: every exported name resolves and has one home."""
+"""The import surface: every exported name resolves and has one home,
+and the exact path (fig2, fig3) runs without numpy."""
 
 import importlib
+import os
+import subprocess
+import sys
 import types
+
+import pytest
 
 import triconc
 
 MODULES = ("exactmath", "teststate", "oracle", "protocol", "eof")
+
+#: The package's exports, pinned: adding or dropping one is an API change.
+EXPORTS = {
+    "binom", "inner_sum_table", "log2_big", "shannon_h",
+    "AmplitudeTable", "EntanglementReport", "TestStateSpec", "amplitude_table",
+    "codeword_entropy", "e_in", "e_out", "fit_line", "gap_scan", "slope_fit",
+    "Gate", "PairEncoding", "PureStateVector", "apply_local_circuit", "apply_ubc",
+    "build_test_state", "compression_circuit_n2", "entanglement_delta",
+    "entropy_of", "schmidt_spectrum", "string_state", "superpose_strings",
+    "ubc_codebook", "verify_n2_circuit",
+    "BatchConfig", "BatchRunStats", "TruncationError", "run_batches", "sample_k",
+    "EofLedger", "concurrence", "eof_from_concurrence", "ledger", "rp_reduced_bc",
+}
+
+#: Run before the snippets below so that numpy cannot be imported.
+BLOCK_NUMPY = 'import sys; sys.modules["numpy"] = None\n'
 
 
 def test_every_name_in_all_resolves():
@@ -16,12 +38,86 @@ def test_every_name_in_all_resolves():
 
 
 def test_every_package_export_is_in_a_module_all():
-    homes = set()
-    for name in MODULES:
-        homes.update(importlib.import_module(f"triconc.{name}").__all__)
-    exported = {n for n, v in vars(triconc).items()
-                if not n.startswith("_") and not isinstance(v, types.ModuleType)}
-    assert exported - homes == set()
+    # the exports are lazy, so vars(triconc) holds only those read so far;
+    # each name is checked through getattr against its one home module
+    assert len(triconc.__all__) == len(EXPORTS)
+    assert set(triconc.__all__) == EXPORTS
+    for name in triconc.__all__:
+        homes = [m for m in MODULES
+                 if name in importlib.import_module(f"triconc.{m}").__all__]
+        assert len(homes) == 1, (name, homes)
+        home = importlib.import_module(f"triconc.{homes[0]}")
+        assert getattr(triconc, name) is getattr(home, name), name
+
+
+def test_dir_lists_every_export():
+    assert EXPORTS <= set(dir(triconc))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from triconc import *", namespace)
+    assert {n: namespace.get(n) for n in EXPORTS} == {
+        n: getattr(triconc, n) for n in EXPORTS}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'inner_sum'"):
+        getattr(triconc, "inner_sum")  # moved into the tests
+    assert not hasattr(triconc, "no_such_name")
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports triconc from this tree."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(triconc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_cli_import_loads_no_numpy():
+    # protocol and eof stay module-level imports of cli, so that a tracer
+    # installed after `import triconc.cli` finds them; numpy and the dense
+    # oracle load only when a command that needs them runs
+    proc = _python(
+        "import sys, triconc.cli\n"
+        "triconc.cli._build_parser()\n"
+        "print(*(m in sys.modules for m in sys.argv[1:]))",
+        "numpy", "triconc.oracle", "triconc.protocol", "triconc.eof")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"False", b"False", b"True", b"True"]
+
+
+def test_package_import_loads_no_submodule():
+    # `import triconc` loads nothing; a submodule loads on first access
+    proc = _python(
+        "import sys, triconc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('triconc')))\n"
+        "print(triconc.protocol.__name__, 'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [b"['triconc']", b"triconc.protocol False"]
+
+
+CLI_MAIN = "import sys\nfrom triconc.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--p", "0.8", "--n-max", "500", "--step", "5"],
+    ["fig3", "--p-list", "0.5,0.8", "--n-max", "500"],
+])
+def test_exact_commands_run_without_numpy(argv):
+    normal = _python(CLI_MAIN, *argv)
+    blocked = _python(BLOCK_NUMPY + CLI_MAIN, *argv)
+    assert normal.returncode == blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout != b""
+
+
+def test_batch_without_numpy_is_an_internal_error():
+    proc = _python(BLOCK_NUMPY + CLI_MAIN, "batch", "--epsilon", "0.1", "--trials", "2")
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"internal error" in proc.stderr and b"numpy" in proc.stderr
 
 
 def test_protocol_takes_nothing_from_the_oracle():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triconc.exactmath import binom, inner_sum, log2_big
+from refsums import inner_sum
+from triconc.exactmath import binom, log2_big
 from triconc.teststate import (
     TestStateSpec,
     amplitude_table,
