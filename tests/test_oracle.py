@@ -345,6 +345,69 @@ class TestSchmidtSpectrum:
             assert probs.shape == ref.shape
             assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
 
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_matches_svd_on_permuted_block_diagonal_states(self, n):
+        # Dense random blocks of mixed, non-square shapes (repeats too, so
+        # equal shapes stack) on the diagonal, a few all-zero rows and
+        # columns left over, then a random permutation of rows and columns.
+        rng = np.random.default_rng(2000 + n)
+        d = 1 << n
+        shapes = [(1, 1), (2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (5, 2)]
+        for dtype in (np.float64, np.complex128):
+            m = np.zeros((d, d), dtype=dtype)
+            planted, r0, c0 = [], 0, 0
+            while True:
+                h, w = shapes[rng.integers(len(shapes))]
+                if r0 + h > d - 1 or c0 + w > d - 1:  # the last row and column stay zero
+                    break
+                block = rng.normal(size=(h, w))
+                if dtype is np.complex128:
+                    block = block + 1j * rng.normal(size=(h, w))
+                m[r0:r0 + h, c0:c0 + w] = block
+                planted.append((range(r0, r0 + h), range(c0, c0 + w)))
+                r0, c0 = r0 + h, c0 + w
+            row_perm, col_perm = rng.permutation(d), rng.permutation(d)
+            m = m[row_perm][:, col_perm] / np.linalg.norm(m)
+            state = PureStateVector(n_pairs=n, amps=m.reshape(-1))
+            probs, ref = schmidt_spectrum(state), svd_probs(state)
+            assert probs.shape == ref.shape
+            assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
+            # The blocks found are the planted ones, with zero rows and columns in none.
+            row_label, col_label = oracle._block_labels(m != 0)
+            row_at, col_at = np.argsort(row_perm), np.argsort(col_perm)
+            for rows, cols in planted:
+                labels = np.concatenate([row_label[row_at[rows]], col_label[col_at[cols]]])
+                assert np.all(labels == labels[0])
+            assert len(set(row_label[row_label < d].tolist())) == len(planted)
+            assert np.count_nonzero(row_label == d) == d - r0
+            assert np.count_nonzero(col_label == d) == d - c0
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_chain_pattern_is_one_block(self, n):
+        # Diagonal plus superdiagonal: every row reaches every column along
+        # the chain, the longest path a d x d pattern allows.
+        rng = np.random.default_rng(3000 + n)
+        d = 1 << n
+        m = np.diag(rng.normal(size=d)) + np.diag(rng.normal(size=d - 1), k=1)
+        state = PureStateVector(n_pairs=n, amps=(m / np.linalg.norm(m)).reshape(-1))
+        row_label, col_label = oracle._block_labels(m != 0)
+        assert not row_label.any() and not col_label.any()
+        probs, ref = schmidt_spectrum(state), svd_probs(state)
+        assert probs.shape == ref.shape
+        assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_diagonal_state_is_squared_diagonal(self, n):
+        # 1x1 blocks: each probability is one squared amplitude, exactly.
+        rng = np.random.default_rng(4000 + n)
+        diag = rng.normal(size=1 << n)
+        diag[rng.random(1 << n) < 0.3] = 0.0
+        diag[0] = 1.0
+        diag /= np.linalg.norm(diag)
+        state = PureStateVector(n_pairs=n, amps=np.diag(diag).reshape(-1))
+        expected = np.sort(diag**2)[::-1]
+        assert np.array_equal(schmidt_spectrum(state), expected[expected > 1e-14])
+
     def test_output_contract(self):
         # float64 for complex input too, non-increasing, nothing at or below
         # the cut, and SVD's count on rank-deficient states.
@@ -375,6 +438,11 @@ class TestEntropyOf:
         assert entropy_of(np.array([0.25] * 4)) == 2.0
         assert entropy_of(np.array([1.0])) == 0.0
         assert entropy_of(np.array([0.5, 0.5, 0.0])) == 1.0  # 0*log0 = 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.2])
+    def test_rejects_bad_entries(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            entropy_of(np.array([0.5, bad, 0.5]))
 
 
 class TestApplyUbc:
