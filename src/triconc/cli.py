@@ -234,16 +234,12 @@ def cmd_batch(cfg: protocol.BatchConfig, trials: int) -> tuple[
               "gamma_bound", "status"]
     rows: list[list[object]] = []
     m_values = []
-    for trial in range(trials):
-        try:
-            stats = protocol.run_batches(cfg, run_index=trial)
-            status = "ok"
-        except protocol.TruncationError as err:
-            stats = err.stats
-            status = "truncated"
+    for trial, (stats, truncated) in enumerate(
+            protocol.run_trials(cfg, range(trials))):
         rows.append([
             trial, stats.m_batches, stats.l, stats.eps_prime,
-            stats.n_total, stats.gamma_entropy_bound, status,
+            stats.n_total, stats.gamma_entropy_bound,
+            "truncated" if truncated else "ok",
         ])
         m_values.append(stats.m_batches)
     mean_m = ordered_sum(m_values) / len(m_values)

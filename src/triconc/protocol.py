@@ -7,23 +7,30 @@ two.  The exact entanglement of the residual superposition state that
 batching leaves behind is :func:`triconc.teststate.codeword_entropy`.
 
 The stopping rule is a walk on the circle frac(log2 D_M) that stops on
-entering [0, log2(1+eps)].  run_batches draws a run's tau counts in
-blocks, follows the walk with a float running sum and decides exactly,
-on the integer D_M, only at the batches where that sum comes within
-a margin of the window (see its docstring for the margin's bound).
+entering [0, log2(1+eps)].  run_trials walks the runs of one config
+together, _CHUNK runs at a time: it draws each run's tau counts in
+blocks, stacks the live runs' blocks into one array, follows every walk
+with a float running sum (one cumsum per block) and decides exactly, on
+the integer D_M, only at the batches where a sum comes within a margin
+of the window (see its docstring for the margin's bound).  run_batches
+is the one-run case of the same walk.
 
 Reproducibility: every stochastic entry point takes an explicit seed;
 independent runs derive their streams from (seed, run_index) so trials
 can be evaluated in any order or in parallel with identical results.
 Because no two runs share a stream, draws a run makes past its stopping
-batch change nothing that any run reports.  The streams are numpy's;
-run_batches imports numpy when it is first called, not at import.
+batch change nothing that any run reports, and neither does the chunk a
+run is walked in: each row of a block is its own run's draws and its own
+sequential sum, and the rows only share the table of C(n, k), whose
+entries do not depend on who asked first.  The streams are numpy's;
+run_trials imports numpy when it is first called, not at import.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,6 +45,7 @@ __all__ = [
     "TruncationError",
     "sample_k",
     "run_batches",
+    "run_trials",
 ]
 
 #: Keep the rank product exact while it fits this many bits, then switch
@@ -47,11 +55,14 @@ _EXACT_BITS = 10_000
 #: A run that has not stopped after this many batches is truncated.
 _MAX_BATCHES = 10_000
 
-#: Margin of the float prefilter in run_batches (its docstring derives it).
+#: Margin of the float prefilter in run_trials (its docstring derives it).
 _DELTA = 1e-6
 
 #: Draws in a run's first block of k; each later block is twice as long.
 _FIRST_BLOCK = 16
+
+#: Runs that run_trials walks together, one row of each block per run.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -143,17 +154,41 @@ def run_batches(cfg: BatchConfig, run_index: int = 0) -> BatchRunStats:
     l) - 1.  Raises :class:`TruncationError` (carrying the partial
     stats) if _MAX_BATCHES batches do not suffice.
 
-    The run is computed as the walk on the circle frac(log2 D_M), whose
-    steps are log2 C(n, k) mod 1.  The k come in blocks of
-    16, 32, 64, ... draws from the run's own stream, which yield the same
-    values as one sample_k per batch; the draws past the stopping batch
-    are harmless because no other run reads this stream.  A float running
-    sum s of log2_big(C(n, k)) makes a batch a candidate only where
-    frac(s) <= log2(1 + epsilon) + delta, where frac(s) >= 1 - delta, or
-    where s >= _EXACT_BITS - delta, near the switch.  Each candidate is
-    decided as above, on D_M rebuilt exactly from the count of each k so
-    far.  After the switch, s is the float log2 D_M itself, and eps_prime
-    is evaluated only where frac(s) <= log2(1 + epsilon) + delta.
+    This is run_trials on the single run run_index; its docstring says
+    how the rule is computed.
+    """
+    ((stats, truncated),) = run_trials(cfg, [run_index])
+    if truncated:
+        raise TruncationError(stats)
+    return stats
+
+
+def run_trials(
+    cfg: BatchConfig, run_indices: Iterable[int]
+) -> Iterator[tuple[BatchRunStats, bool]]:
+    """(stats, truncated) of run_batches(cfg, i) for each i in run_indices,
+    in order; truncated stats are those the TruncationError would carry.
+
+    The runs are walked _CHUNK at a time, and a chunk's results are
+    yielded before the next chunk is drawn.  Every run computes the
+    stopping rule as the walk on the circle frac(log2 D_M), whose steps
+    are log2 C(n, k) mod 1.  The k come in blocks of 16, 32, 64, ...
+    draws from the run's own stream, which yield the same values as one
+    sample_k per batch; the draws past the stopping batch are harmless
+    because no other run reads this stream.  The live runs of a chunk
+    share the block schedule, so each block is one (runs, draws) array;
+    looked up in the table of log2_big(C(n, k)), with each run's carried
+    sum added into column 0, its cumsum along the rows is the float
+    running sum s of every run, the same floats as one s += step per
+    batch.  A batch is a candidate only where frac(s) <= log2(1 +
+    epsilon) + delta, where frac(s) >= 1 - delta, or where s >=
+    _EXACT_BITS - delta, near the switch.  Each candidate is decided as
+    in run_batches, on D_M rebuilt exactly from the count of each k so
+    far.  At the switch, s is re-anchored to log2_big(D_M) and the rest
+    of the run's row is summed again from there; after it, s is the float
+    log2 D_M itself, and eps_prime is evaluated only where frac(s) <=
+    log2(1 + epsilon) + delta.  The exact C(n, k) and their log2 are
+    computed once per call, for the k actually drawn.
 
     delta = 1e-6 is a wide bound on the error of s.  Before the switch,
     s is only trusted below _EXACT_BITS = 10^4 < 2^14, so each of at most
@@ -164,56 +199,154 @@ def run_batches(cfg: BatchConfig, run_index: int = 0) -> BatchRunStats:
     (log2(1 + epsilon), 1), where eps_prime exceeds epsilon by about
     (1 + epsilon) delta ln(2) / 2, far more than any rounding.
     """
+    ranks = _Ranks(cfg.n)
+    indices = iter(run_indices)
+    while chunk := list(itertools.islice(indices, _CHUNK)):
+        yield from _walk(cfg, chunk, ranks)
+
+
+class _Ranks:
+    """C(n, k) and log2_big(C(n, k)) for the k drawn so far.
+
+    The floats sit in an array indexed by k - base that covers the range
+    of k drawn so far (-1 where a k in that range is not drawn yet), so
+    a block is looked up in one gather and its memory follows the spread
+    of the draws, not n.
+    """
+
+    def __init__(self, n: int):
+        import numpy as np
+
+        self.n = n
+        self.exact: dict[int, int] = {}  # k -> C(n, k)
+        self.base = 0
+        self.log2 = np.empty(0)  # log2_big(C(n, base + i)) at i
+
+    def steps(self, ks: np.ndarray) -> np.ndarray:
+        """log2_big(C(n, k)) for every k of the int array ks."""
+        import numpy as np
+
+        lo, hi = int(ks.min()), int(ks.max())
+        if not self.log2.size:
+            self.base = lo
+        top = self.base + self.log2.size
+        if lo < self.base or hi >= top:
+            base = min(self.base, lo)
+            grown = np.full(max(top, hi + 1) - base, -1.0)
+            grown[self.base - base:top - base] = self.log2
+            self.base, self.log2 = base, grown
+        at = ks - self.base
+        out = self.log2.take(at)
+        new = out < 0.0
+        if new.any():
+            for k in set(ks[new].tolist()):
+                self.exact[k] = binom(self.n, k)
+                self.log2[k - self.base] = log2_big(self.exact[k])
+            out = self.log2.take(at)
+        return out
+
+    def product(self, ks: np.ndarray) -> int:
+        """prod C(n, k) over the k of ks, exactly."""
+        import numpy as np
+
+        counts = np.bincount(ks - self.base).tolist()
+        return _power_product(
+            self.exact, {self.base + k: e for k, e in enumerate(counts) if e}
+        )
+
+
+def _walk(
+    cfg: BatchConfig, run_indices: list[int], ranks: _Ranks
+) -> list[tuple[BatchRunStats, bool]]:
+    """run_trials on one chunk of runs."""
     import numpy as np  # here, so that importing the module loads no numpy
 
     exact_bits, max_batches = _EXACT_BITS, _MAX_BATCHES
-    n, epsilon = cfg.n, cfg.epsilon
+    n, p, epsilon = cfg.n, cfg.p, cfg.epsilon
     window = math.log2(1.0 + epsilon) + _DELTA
     wrap = 1.0 - _DELTA
     near_switch = exact_bits - _DELTA
-    rng = np.random.default_rng([cfg.seed, run_index])
-    rank: dict[int, int] = {}  # k -> C(n, k), for each k drawn so far
-    log2_rank: dict[int, float] = {}  # k -> log2_big(C(n, k))
-    k_list: list[int] = []
-    switched = False
-    s = 0.0
-    size = _FIRST_BLOCK
-    while len(k_list) < max_batches:
-        draws = min(size, max_batches - len(k_list))
-        block = rng.binomial(n, cfg.p, size=draws).tolist()
-        for k in set(block).difference(rank):
-            rank[k] = binom(n, k)
-            log2_rank[k] = log2_big(rank[k])
-        first = len(k_list) + 1
-        k_list += block
-        for m, k in enumerate(block, first):
-            s += log2_rank[k]
-            f = s % 1.0
-            # Skip the batches that cannot stop the run; the last batch is
-            # always decided, so that truncated stats are exact too.
-            if switched:
-                if f > window and m < max_batches:
-                    continue
-            elif window < f < wrap and s < near_switch and m < max_batches:
-                continue
-            else:
-                d = _power_product(rank, Counter(k_list[:m]))
-                switched = d.bit_length() > exact_bits
-                if switched:
-                    s = log2_big(d)  # from here on, the float log2 D_M
-            if switched:
-                l = math.floor(s)
-                eps_prime = 2.0 ** (s - l) - 1.0
-            else:
-                l = d.bit_length() - 1
-                eps_prime = (d - (1 << l)) / (1 << l)
-            if eps_prime <= epsilon:
-                return _stats(m, k_list[:m], l, eps_prime, cfg)
+    results: list = [None] * len(run_indices)
+    # One row per live run: its result slot, stream, k so far, float sum s
+    # and whether it has switched to floats.  Rows of stopped runs are
+    # dropped after each block.
+    slots = list(range(len(run_indices)))
+    rngs = [np.random.default_rng([cfg.seed, i]) for i in run_indices]
+    ks = np.empty((len(rngs), 0), dtype=np.int64)
+    carry = np.zeros(len(rngs))
+    switched = np.zeros(len(rngs), dtype=bool)
+    drawn, size = 0, _FIRST_BLOCK
+    while slots:
+        draws = min(size, max_batches - drawn)
+        last = drawn + draws == max_batches  # the last batch is always decided
+        block = np.stack([rng.binomial(n, p, size=draws) for rng in rngs])
+        ks = np.concatenate((ks, block), axis=1)
+        s = ranks.steps(block)
+        s[:, 0] += carry
+        np.cumsum(s, axis=1, out=s)
+        f = s - np.floor(s)  # s % 1.0 exactly, as s >= 0, and much faster
+        cand = (f <= window) | ((f >= wrap) & ~switched[:, None])
+        del f
+        # s only grows, so the batches below near_switch come first; the
+        # first one past it is a candidate, and so is each later one until
+        # the run switches (see the visit below)
+        below = (s < near_switch).sum(axis=1)
+        (at_switch,) = (~switched & (below < draws)).nonzero()
+        cand[at_switch, below[at_switch]] = True
+        cand[:, -1] |= last
+        keep = np.ones(len(slots), dtype=bool)
+        cand_cols: dict[int, list[int]] = {}  # row -> its candidate columns
+        for r, j in zip(*(a.tolist() for a in cand.nonzero())):
+            cand_cols.setdefault(r, []).append(j)
+        for r, cols in cand_cols.items():
+            x = 0
+            while x < len(cols):
+                j = cols[x]
+                x += 1
+                m = drawn + j + 1
+                if switched[r]:
+                    log2_d = float(s[r, j])
+                    l = math.floor(log2_d)
+                    eps_prime = 2.0 ** (log2_d - l) - 1.0
+                else:
+                    d = ranks.product(ks[r, :m])
+                    if d.bit_length() > exact_bits:
+                        # from here on s is the float log2 D_M: re-anchor it
+                        # and sum the rest of the row again, whose
+                        # candidates are now only the window's
+                        switched[r] = True
+                        log2_d = log2_big(d)
+                        tail = ranks.steps(block[r, j:])
+                        tail[0] = log2_d
+                        s[r, j:] = np.cumsum(tail)
+                        rest = s[r, j + 1:]
+                        rest_cand = rest - np.floor(rest) <= window
+                        if last and rest_cand.size:
+                            rest_cand[-1] = True
+                        cols, x = (j + 1 + rest_cand.nonzero()[0]).tolist(), 0
+                        l = math.floor(log2_d)
+                        eps_prime = 2.0 ** (log2_d - l) - 1.0
+                    else:
+                        l = d.bit_length() - 1
+                        eps_prime = (d - (1 << l)) / (1 << l)
+                        if (s[r, j] >= near_switch and j + 1 < draws
+                                and cols[x:x + 1] != [j + 1]):
+                            cols.insert(x, j + 1)
+                if eps_prime <= epsilon or m == max_batches:
+                    stats = _stats(m, ks[r, :m].tolist(), l, eps_prime, cfg)
+                    results[slots[r]] = (stats, eps_prime > epsilon)
+                    keep[r] = False
+                    break
+        kept = keep.tolist()
+        slots = [slot for slot, k in zip(slots, kept) if k]
+        rngs = [rng for rng, k in zip(rngs, kept) if k]
+        ks, carry, switched = ks[keep], s[keep, -1], switched[keep]
+        drawn += draws
         size *= 2
-    raise TruncationError(_stats(max_batches, k_list, l, eps_prime, cfg))
+    return results
 
 
-def _power_product(base: dict[int, int], exp: Counter[int]) -> int:
+def _power_product(base: dict[int, int], exp: dict[int, int]) -> int:
     """prod_k base[k] ** exp[k] over the keys of exp, by Horner's rule
     over the exponents' bits: one squaring of the running product per
     bit, then one multiply by the bases whose exponent has that bit set."""

@@ -39,7 +39,6 @@ from triconc import (
     entanglement_delta,
     entropy_of,
     ledger,
-    run_batches,
     schmidt_spectrum,
     shannon_h,
     slope_fit,
@@ -48,6 +47,7 @@ from triconc import (
     verify_n2_circuit,
 )
 from triconc.oracle import MAX_DENSE_PAIRS, codewords, permutation_strings
+from triconc.protocol import run_trials
 
 BELL = PairEncoding.bell()
 
@@ -272,13 +272,16 @@ def test_c08_batching_statistics():
     {0, 20} do not move the walk, and it starts at 0, outside the
     tested range.  The seeded mean is 8.749 (se 0.141); 7.27 and 10 are
     both more than 8 se away, so the check still has teeth.
+
+    The trials go through run_trials, the multi-run walk that `triconc
+    batch` runs; a truncated run would have eps' > eps and fail the
+    containment check.
     """
     start = time.perf_counter()
     cfg = BatchConfig(n=20, p=0.5, epsilon=0.1, seed=0xC0FFEE)
     counts = []
     eps_ok = True
-    for trial in range(2000):
-        stats = run_batches(cfg, run_index=trial)
+    for stats, _truncated in run_trials(cfg, range(2000)):
         counts.append(stats.m_batches)
         eps_ok = eps_ok and 0.0 <= stats.eps_prime <= 0.1
     elapsed = time.perf_counter() - start

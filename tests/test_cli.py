@@ -10,12 +10,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triconc
-from triconc import cli, oracle, protocol
+from triconc import cli, exactmath, oracle, protocol
 from triconc.protocol import BatchConfig
 
 
@@ -243,6 +244,36 @@ class TestBatch:
         truncated = [row for row in rows if row[-1] == "truncated"]
         assert all(row[1] == 2 for row in truncated)
         assert math.isfinite(summary["mean_m"])
+
+    def test_rank_table_shared_by_all_trials(self, monkeypatch):
+        # C(n, k) is computed once per distinct k drawn in the whole
+        # command, not once per trial, and the row C(n, 0..n) never
+        calls = []
+
+        def counting_binom(n, k):
+            calls.append(k)
+            return exactmath.binom(n, k)
+
+        def no_row(n):
+            raise AssertionError("binomial_row called")
+
+        monkeypatch.setattr(protocol, "binom", counting_binom)
+        monkeypatch.setattr(exactmath, "binomial_row", no_row)
+        assert "binomial_row" not in vars(protocol)
+        cfg = BatchConfig(n=50, p=0.8, epsilon=0.01, seed=3)
+        _, rows, _ = cli.cmd_batch(cfg, trials=3 * protocol._CHUNK + 5)
+        drawn = set()
+        for trial, row in enumerate(rows):
+            # a run draws whole blocks, up to the one holding its last batch
+            rng = np.random.default_rng([cfg.seed, trial])
+            ks, size = [], protocol._FIRST_BLOCK
+            while len(ks) < row[1]:
+                ks += rng.binomial(cfg.n, cfg.p,
+                                   size=min(size, protocol._MAX_BATCHES - len(ks))).tolist()
+                size *= 2
+            drawn.update(ks)
+        assert sorted(calls) == sorted(drawn)
+        assert len(calls) < cfg.n + 1
 
     def test_summary_independent_of_builtin_sum(self, compensated_sum):
         # a compensated sum would give stderr_m 0.4004996878900157

@@ -1,6 +1,7 @@
 """Binomial sampling and the batching stopping rule."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from triconc.protocol import (
     BatchConfig,
     TruncationError,
     run_batches,
+    run_trials,
     sample_k,
 )
 
@@ -50,6 +52,12 @@ def _outcome(run, cfg: BatchConfig, run_index: int):
         return "ok", run(cfg, run_index)
     except TruncationError as err:
         return "truncated", err.stats
+
+
+def _walked(cfg: BatchConfig, run_indices) -> list:
+    """The outcomes of _outcome, in order, from one multi-run walk."""
+    return [("truncated" if truncated else "ok", stats)
+            for stats, truncated in run_trials(cfg, run_indices)]
 
 
 class TestSampleK:
@@ -223,7 +231,8 @@ def _check_float_path(stats, n: int, exact_bits: int) -> bool:
 
 
 class TestMatchesReference:
-    """run_batches returns the same BatchRunStats as the per-batch loop."""
+    """run_batches, and run_trials over many runs, return the same
+    BatchRunStats as the per-batch loop."""
 
     @pytest.mark.parametrize(("n", "p", "epsilon", "runs"), [
         (20, 0.5, 0.1, 2000),
@@ -231,22 +240,33 @@ class TestMatchesReference:
         (20, 0.5, 0.001, 150),   # about a third of the runs pass 10^4 bits
         (50, 0.8, 0.001, 100),
         (7, 0.3, 0.01, 300),
-        (20, 0.0, 0.01, 20),
+        (20, 0.0, 0.01, 20),    # k is constant at p = 0 and p = 1
         (20, 1.0, 0.01, 20),
         (3, 0.5, 1e-6, 12),     # most runs truncate at _MAX_BATCHES
         (3, 0.9, 1e-6, 6),
+        # trial counts around run_trials' chunk of runs
+        (20, 0.5, 0.1, 1),
+        (20, 0.5, 0.1, protocol._CHUNK - 1),
+        (20, 0.5, 0.1, protocol._CHUNK),
+        (20, 0.5, 0.1, protocol._CHUNK + 1),
+        (20, 0.5, 0.01, 2 * protocol._CHUNK + 3),
+        (50, 0.8, 0.01, protocol._CHUNK + 1),
+        (20, 0.5, 0.001, protocol._CHUNK + 1),
     ])
     def test_default_limits(self, n, p, epsilon, runs):
         cfg = BatchConfig(n=n, p=p, epsilon=epsilon, seed=0xC0FFEE)
-        outcomes = []
+        outcomes = [_outcome(_reference_run_batches, cfg, run) for run in range(runs)]
         for run in range(runs):
-            outcomes.append(_outcome(run_batches, cfg, run))
-            assert outcomes[-1] == _outcome(_reference_run_batches, cfg, run), run
+            assert _outcome(run_batches, cfg, run) == outcomes[run], run
+        assert _walked(cfg, range(runs)) == outcomes
         if epsilon == 1e-6:
             assert any(status == "truncated" for status, _ in outcomes)
 
     @pytest.mark.parametrize(("exact_bits", "max_batches"), [
         (64, None), (64, 3), (64, 20), (None, 3), (None, 20),
+        # a truncation at the end of the first and of the second block
+        (None, protocol._FIRST_BLOCK), (None, 3 * protocol._FIRST_BLOCK),
+        (64, 3 * protocol._FIRST_BLOCK),
     ])
     def test_patched_limits(self, monkeypatch, exact_bits, max_batches):
         if exact_bits is not None:
@@ -255,6 +275,31 @@ class TestMatchesReference:
             monkeypatch.setattr(protocol, "_MAX_BATCHES", max_batches)
         for n, p, epsilon in ((20, 0.5, 0.1), (20, 0.5, 0.001), (7, 0.3, 0.01)):
             cfg = BatchConfig(n=n, p=p, epsilon=epsilon, seed=7)
+            outcomes = [_outcome(_reference_run_batches, cfg, run) for run in range(200)]
             for run in range(200):
-                assert (_outcome(run_batches, cfg, run)
-                        == _outcome(_reference_run_batches, cfg, run)), (n, run)
+                assert _outcome(run_batches, cfg, run) == outcomes[run], (n, run)
+            assert _walked(cfg, range(200)) == outcomes, n
+            if max_batches is not None and epsilon == 0.001:
+                assert any(status == "truncated" for status, _ in outcomes)
+
+    def test_switch_just_below_the_exact_limit(self, monkeypatch):
+        # C(n, 1) = n = 2^21 - 1 has log2 within 7e-7 below 21, so with
+        # _EXACT_BITS = 21 a run whose first nonzero k is 1 sits just under
+        # the switch without making it; the batch that then moves it is
+        # decided there even where frac(s) lies inside (window, wrap)
+        monkeypatch.setattr(protocol, "_EXACT_BITS", 21)
+        n = 2**21 - 1
+        cfg = BatchConfig(n=n, p=2 / n, epsilon=0.001, seed=0xC0FFEE)
+        expected = [_outcome(_reference_run_batches, cfg, run) for run in range(300)]
+        assert _walked(cfg, range(300)) == expected
+        assert sum(stats.k_list[:1] == (1,) for _, stats in expected) > 10
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_results_do_not_depend_on_chunking_or_run_order(self, monkeypatch, chunk):
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001, seed=11)
+        order = list(range(100))
+        random.Random(chunk).shuffle(order)
+        expected = [_outcome(_reference_run_batches, cfg, run) for run in order]
+        assert _walked(cfg, order) == expected
+        assert _walked(cfg, iter(order)) == expected  # any iterable, consumed lazily
