@@ -239,11 +239,30 @@ class _Ranks:
         out = self.log2.take(at)
         new = out < 0.0
         if new.any():
-            for k in set(ks[new].tolist()):
-                self.exact[k] = binom(self.n, k)
+            for k in sorted(set(ks[new].tolist())):
+                self.exact[k] = self._comb(k)
                 self.log2[k - self.base] = log2_big(self.exact[k])
             out = self.log2.take(at)
         return out
+
+    def _comb(self, k: int) -> int:
+        """C(n, k), exactly: binom for the first k, and for each later k a
+        walk from the nearest k in the table, by C(n, j + 1) = C(n, j)
+        (n - j) / (j + 1) upward or C(n, j - 1) = C(n, j) j / (n - j + 1)
+        downward, whose divisions are exact.  A step costs one multiply
+        and one divide by a small int, far less than a fresh math.comb
+        at large n; the draws cluster within a few standard deviations,
+        so the walks are short."""
+        n, exact = self.n, self.exact
+        if not exact:
+            return binom(n, k)
+        near = min(exact, key=lambda j: abs(j - k))
+        c = exact[near]
+        for j in range(near, k):
+            c = c * (n - j) // (j + 1)
+        for j in range(near, k, -1):
+            c = c * j // (n - j + 1)
+        return c
 
     def product(self, ks: np.ndarray) -> int:
         """prod C(n, k) over the k of ks, exactly."""

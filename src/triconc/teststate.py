@@ -113,8 +113,10 @@ class AmplitudeTable:
         row = binomial_row(n)
         half = [i for i in range(n // 2 + 1) if s[i]]
         terms = entropy_terms(((row[i], s[i] * s[i]) for i in half), s[0], n)
-        term = dict(zip(half, terms))
-        return ordered_sum(term[min(i, n - i)] for i in range(n + 1) if s[i])
+        # weights above n / 2 repeat those below it in reverse order; an even
+        # n's middle weight n / 2 is its own mirror
+        mirrored = terms[:-1] if 2 * half[-1] == n else terms
+        return ordered_sum(terms + mirrored[::-1])
 
 
 def codeword_entropy(count: int, n: int) -> float:

@@ -144,6 +144,23 @@ class TestFig3:
         assert abs(rows["0.8"] - 0.466) <= 0.01
 
 
+class TestPinnedExactScan:
+    @pytest.mark.parametrize(("args", "sha256"), [
+        ("fig2 --p 0.5 --n-max 2000 --step 20",
+         "af50337ca13beffddd8783a9c409b2f876094041e5daad7934a6c5cd7a23e326"),
+        ("fig3 --p-list 0.5,0.8 --n-max 500",
+         "88ddf388a133619c3fcd3f7ef3dfb67a41db007c2a14eba8aaf383197515c7e9"),
+        ("fig2 --p 0.8 --n-max 500 --step 5",
+         "5fa5aaa53c8ac54505ab0a286f1d504b4b465f144cc8ab2a1ddefce38dacb181"),
+    ])
+    def test_pinned_bytes(self, tmp_path, args, sha256):
+        # sha256 of the datasets the exact entropy gave when every weight
+        # was the exact int ratio (mult * w) / T, rounded once
+        code, text = run_cli(args.split(), tmp_path)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 class TestOracleCheck:
     def test_single_pair_all_consistent(self, tmp_path):
         code, text = run_cli(["oracle-check", "--n-max", "1"], tmp_path, "r.json")
@@ -246,9 +263,10 @@ class TestBatch:
         assert math.isfinite(summary["mean_m"])
 
     def test_rank_table_shared_by_all_trials(self, monkeypatch):
-        # C(n, k) is computed once per distinct k drawn in the whole
-        # command, not once per trial, and the row C(n, 0..n) never
-        calls = []
+        # one table of C(n, k) serves every trial of the command: it holds
+        # exactly the k drawn, each exact; binom gives at most its first
+        # entry, and the row C(n, 0..n) is never built
+        calls, tables = [], []
 
         def counting_binom(n, k):
             calls.append(k)
@@ -257,7 +275,13 @@ class TestBatch:
         def no_row(n):
             raise AssertionError("binomial_row called")
 
+        class RecordedRanks(protocol._Ranks):
+            def __init__(self, n):
+                super().__init__(n)
+                tables.append(self)
+
         monkeypatch.setattr(protocol, "binom", counting_binom)
+        monkeypatch.setattr(protocol, "_Ranks", RecordedRanks)
         monkeypatch.setattr(exactmath, "binomial_row", no_row)
         assert "binomial_row" not in vars(protocol)
         cfg = BatchConfig(n=50, p=0.8, epsilon=0.01, seed=3)
@@ -272,8 +296,10 @@ class TestBatch:
                                    size=min(size, protocol._MAX_BATCHES - len(ks))).tolist()
                 size *= 2
             drawn.update(ks)
-        assert sorted(calls) == sorted(drawn)
-        assert len(calls) < cfg.n + 1
+        (table,) = tables
+        assert sorted(table.exact) == sorted(drawn)
+        assert all(c == math.comb(cfg.n, k) for k, c in table.exact.items())
+        assert len(calls) <= 1
 
     def test_summary_independent_of_builtin_sum(self, compensated_sum):
         # a compensated sum would give stderr_m 0.4004996878900157

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refsums import inner_sum
+from triconc import exactmath
 from triconc.exactmath import (
     binom,
     binomial_row,
@@ -49,12 +50,49 @@ def _h_decimal(p: str) -> float:
     return float(total)
 
 
-def _mirror_holds(n, k):
-    """S_{n-i} = (-1)^k S_i in the recurrence table, the Krawtchouk
-    symmetry AmplitudeTable.entropy relies on."""
+def _mirror_holds(n, k, upper=None):
+    """The table's upper half (or the weights of upper in it) is the
+    direct sum S_j of tests/refsums.py, and the mirror (-1)^k S_{n-j}
+    of its lower half: the Krawtchouk symmetry the table is filled
+    from, and that AmplitudeTable.entropy relies on."""
     s = inner_sum_table(n, k)
     sign = -1 if k & 1 else 1
-    return all(s[n - i] == sign * s[i] for i in range(n + 1))
+    if upper is None:
+        upper = range(n // 2 + 1, n + 1)
+    return len(s) == n + 1 and all(
+        s[j] == inner_sum(n, k, j) == sign * s[n - j] for j in upper)
+
+
+def _exact_terms(terms, count, shift):
+    """The per-term entropy with every weight the exact int ratio
+    (mult * w) / T rounded once, as hex strings (bit for bit, signed
+    zeros apart)."""
+    total_w = count << shift
+    log2_total = shift + log2_big(count)
+    return [(-((mult * w) / total_w * (log2_big(w) - log2_total))).hex()
+            for mult, w in terms]
+
+
+def _test_state_terms(n, k):
+    """entropy_terms' input for the (n, k) test state: (C(n, i), S_i^2)
+    for the nonzero S_i with i <= n // 2, and count C(n, k), shift n."""
+    s = inner_sum_table(n, k)
+    row = binomial_row(n)
+    return [(row[i], s[i] * s[i]) for i in range(n // 2 + 1) if s[i]], s[0], n
+
+
+class _CountedInt(int):
+    """An int that counts the products it takes part in: the exact weight
+    (mult * w) / T multiplies the full mult, the bracket only its top bits
+    (mult >> a, a plain int)."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
 
 
 @st.composite
@@ -259,7 +297,23 @@ class TestInnerSumTable:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
     def test_mirror_at_random_n(self, nk):
-        assert _mirror_holds(*nk)
+        n, k = nk
+        assert _mirror_holds(n, k, {j for j in (n // 2 + 1, (3 * n) // 4, n - 1, n)
+                                    if n // 2 < j <= n})
+
+    def test_recurrence_stops_at_half(self, monkeypatch):
+        # n // 2 checked divisions, whatever the parity of n and k
+        divisions = []
+
+        def counting_divmod(a, b):
+            divisions.append(b)
+            return divmod(a, b)
+
+        monkeypatch.setattr(exactmath, "divmod", counting_divmod, raising=False)
+        for n, k in ((0, 0), (1, 1), (7, 3), (8, 3), (9, 4)):
+            divisions.clear()
+            assert inner_sum_table(n, k) == [inner_sum(n, k, i) for i in range(n + 1)]
+            assert divisions == [n - i for i in range(n // 2)]
 
 
 class TestExactEntropy:
@@ -277,3 +331,73 @@ class TestExactEntropy:
         assert ordered_sum(entropy_terms([(1 << 1100, 1)], 1, 1100)) == 1100.0
         half = [(1, 1 << 1099), (1 << 1099, 1)]  # 1/2 + 2^1099 * 2^-1100
         assert abs(ordered_sum(entropy_terms(half, 1, 1100)) - (1 + 1100) / 2) < 1e-12
+
+    def test_bit_identical_to_exact_weights_every_k_below_n120(self, monkeypatch):
+        # every weight is bracketed here, however narrow its integers
+        monkeypatch.setattr(exactmath, "_MIN_BRACKET_BITS", 0)
+        for n in range(1, 120):
+            for k in range(n + 1):
+                terms, count, shift = _test_state_terms(n, k)
+                got = [t.hex() for t in entropy_terms(terms, count, shift)]
+                assert got == _exact_terms(terms, count, shift), (n, k)
+
+    def test_bit_identical_to_exact_weights_sampled_to_n3000(self):
+        rng = random.Random(20261019)
+        cases = [(3000, 1500), (3000, 2400), (2999, 1)]
+        cases += [(n, rng.randrange(n + 1))
+                  for n in (rng.randrange(120, 3001) for _ in range(25))]
+        for n, k in cases:
+            terms, count, shift = _test_state_terms(n, k)
+            got = [t.hex() for t in entropy_terms(terms, count, shift)]
+            assert got == _exact_terms(terms, count, shift), (n, k)
+
+    def test_narrow_bracket_falls_back_to_the_exact_ratio(self, monkeypatch):
+        # 8 leading bits bracket a weight to ~1e-2, never to one float:
+        # every term takes the exact product, and still matches
+        n, k = 1000, 350
+        terms, count, shift = _test_state_terms(n, k)
+        terms = [(_CountedInt(m), w) for m, w in terms if m.bit_length() > 64]
+        assert all(m.bit_length() + w.bit_length() >= exactmath._MIN_BRACKET_BITS
+                   for m, w in terms)
+        want = _exact_terms(terms, count, shift)
+        _CountedInt.products = 0
+        got = [t.hex() for t in entropy_terms(terms, count, shift)]
+        bracketed = len(terms) - _CountedInt.products
+        assert got == want and bracketed > 0.9 * len(terms)
+        monkeypatch.setattr(exactmath, "_TOP_BITS", 8)
+        _CountedInt.products = 0
+        got = [t.hex() for t in entropy_terms(terms, count, shift)]
+        assert got == want and _CountedInt.products == len(terms)
+
+    def test_subnormal_and_underflowing_weights(self):
+        # wide operands whose weight is near or below 2^-1022: the bracket
+        # agrees, but below 2^-1022 its scaled float would round twice
+        rng = random.Random(11)
+        count, shift = 3 ** 700 + 1, 1400
+        terms = []
+        for e in (-1020, -1022, -1023, -1030, -1060, -1074, -1075, -1076, -1200):
+            mult = rng.getrandbits(600) | 1 << 599
+            target = (count << shift) >> -e  # T * 2^e
+            terms.append((mult, target // mult + rng.getrandbits(40)))
+        # weight 2.5 * 2^-1074 + 2^-1400 rounds up to 3 * 2^-1074; rounded
+        # to 53 bits first, it would be the tie 2.5 * 2^-1074 and go to 2
+        terms.append((count, (5 << shift - 1075) + 1))
+        assert all(m.bit_length() + w.bit_length() >= exactmath._MIN_BRACKET_BITS
+                   for m, w in terms)
+        got = [t.hex() for t in entropy_terms(terms, count, shift)]
+        assert got == _exact_terms(terms, count, shift)
+        weights = [(m * w) / (count << shift) for m, w in terms]
+        assert weights[-1] == 3 * 2.0 ** -1074
+        assert 0.0 < min(x for x in weights if x) < 2.0 ** -1022 and 0.0 in weights
+        assert max(weights) >= 2.0 ** -1022
+
+    def test_weights_at_the_underflow_edge(self):
+        # T = 2^3000: operands of 1925 bits in all make a weight under
+        # 2^-1075, which rounds to 0.0; at 1926 bits it can round up to the
+        # smallest subnormal; 2^-1075 itself is a tie and rounds to 0.0
+        top = (1 << 963) - 1
+        terms = [(top, top >> 1), (top, top), (1 << 962, 1 << 963)]
+        assert [m.bit_length() + w.bit_length() for m, w in terms] == [1925, 1926, 1927]
+        got = [t.hex() for t in entropy_terms(terms, 1, 3000)]
+        assert got == _exact_terms(terms, 1, 3000)
+        assert [(m * w) / (1 << 3000) for m, w in terms] == [0.0, 2.0 ** -1074, 0.0]

@@ -194,6 +194,26 @@ class TestRunBatches:
             assert type(stats.k_list) is tuple
             assert all(type(k) is int for k in stats.k_list)
 
+    def test_rank_table_walks_both_ways_exactly(self, monkeypatch):
+        # later entries roll from the nearest known k, up or down, so
+        # binom runs once for the first k of the table and never again
+        calls = []
+
+        def counting_binom(n, k):
+            calls.append(k)
+            return binom(n, k)
+
+        monkeypatch.setattr(protocol, "binom", counting_binom)
+        n = 3001
+        ranks = protocol._Ranks(n)
+        blocks = [[1500], [1490, 1523, 1500], [0, 3001, 1], [2999, 1499, 1501]]
+        for block in blocks:
+            steps = ranks.steps(np.array(block))
+            assert steps.tolist() == [log2_big(math.comb(n, k)) for k in block]
+        assert calls == [1500]
+        drawn = {k for block in blocks for k in block}
+        assert ranks.exact == {k: math.comb(n, k) for k in drawn}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BatchConfig(n=0, p=0.5, epsilon=0.1)

@@ -1,6 +1,7 @@
 """Closed-form test-state amplitudes, entropies, and slope fits."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +143,13 @@ class TestEntropies:
         # odd n has no middle weight; odd k flips the sign of every mirror S_i
         table = amplitude_table(TestStateSpec(n, k))
         assert table.entropy() == _entropy_reference(table)
+
+    def test_entropy_bit_identical_sampled_to_n3000(self):
+        # at these n nearly every weight is decided from its leading bits
+        rng = random.Random(3000)
+        for n in sorted(rng.sample(range(400, 3001), 6)):
+            table = amplitude_table(TestStateSpec(n, rng.randrange(n + 1)))
+            assert table.entropy() == _entropy_reference(table), (n, table.k)
 
     def test_entropy_bit_identical_with_half_the_weights_zero(self):
         # at p = 1/2 every odd-weight S_i vanishes: 1000 of 2001 at n = 2000
