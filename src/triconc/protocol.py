@@ -22,16 +22,23 @@ Because no two runs share a stream, draws a run makes past its stopping
 batch change nothing that any run reports, and neither does the chunk a
 run is walked in: each row of a block is its own run's draws and its own
 sequential sum, and the rows only share the table of C(n, k), whose
-entries do not depend on who asked first.  The streams are numpy's;
-run_trials imports numpy when it is first called, not at import.
+entries do not depend on who asked first.  The streams are numpy's: run
+i's is PCG64 seeded by SeedSequence([seed, i]), and its k equal
+Generator.binomial(n, p)'s on that stream.  run_trials gets both in bulk
+(_generators hashes the seeds of a chunk of runs at once; _Sampler
+decodes the draws from the same uniform doubles numpy's sampler reads)
+and imports numpy when it is first called, not at import.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+import operator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exactmath import binom, log2_big
@@ -190,6 +197,21 @@ def run_trials(
     log2(1 + epsilon) + delta.  The exact C(n, k) and their log2 are
     computed once per call, for the k actually drawn.
 
+    The draws are numpy's own, got in bulk.  Run i's generator is PCG64
+    seeded with the state words of SeedSequence([seed, i]), whose hash
+    _generators computes for the whole chunk at once.  Where numpy draws
+    by inversion, n min(p, 1 - p) <= 30, each k is decoded from the
+    double rng.random gives, the one numpy's loop reads: that loop
+    subtracts fixed pmf steps from the double U until what is left is at
+    most the next step, and rounded subtraction is monotone, so the X it
+    stops at is monotone in U and X = #{x : U > T_x} for thresholds T_x
+    found once per config (_Sampler).  For p > 1/2 the k is n - X at
+    1 - p, as numpy returns it; a double past the last threshold, where
+    numpy restarts, yields no k and the run's row is topped up from its
+    stream.  Configs numpy draws by BTPE, and p in {0, 1}, call
+    rng.binomial.  A run index that is not an integer >= 0 raises
+    ValueError, naming it, before its chunk draws anything.
+
     delta = 1e-6 is a wide bound on the error of s.  Before the switch,
     s is only trusted below _EXACT_BITS = 10^4 < 2^14, so each of at most
     _MAX_BATCHES = 10^4 adds rounds by at most half an ulp of 2^14
@@ -200,9 +222,10 @@ def run_trials(
     (1 + epsilon) delta ln(2) / 2, far more than any rounding.
     """
     ranks = _Ranks(cfg.n)
+    sampler = _sampler(cfg.n, cfg.p)
     indices = iter(run_indices)
-    while chunk := list(itertools.islice(indices, _CHUNK)):
-        yield from _walk(cfg, chunk, ranks)
+    while chunk := [_run_index(i) for i in itertools.islice(indices, _CHUNK)]:
+        yield from _walk(cfg, chunk, ranks, sampler)
 
 
 class _Ranks:
@@ -275,13 +298,13 @@ class _Ranks:
 
 
 def _walk(
-    cfg: BatchConfig, run_indices: list[int], ranks: _Ranks
+    cfg: BatchConfig, run_indices: list[int], ranks: _Ranks, sampler: _Sampler
 ) -> list[tuple[BatchRunStats, bool]]:
     """run_trials on one chunk of runs."""
     import numpy as np  # here, so that importing the module loads no numpy
 
     exact_bits, max_batches = _EXACT_BITS, _MAX_BATCHES
-    n, p, epsilon = cfg.n, cfg.p, cfg.epsilon
+    epsilon = cfg.epsilon
     window = math.log2(1.0 + epsilon) + _DELTA
     wrap = 1.0 - _DELTA
     near_switch = exact_bits - _DELTA
@@ -290,7 +313,7 @@ def _walk(
     # and whether it has switched to floats.  Rows of stopped runs are
     # dropped after each block.
     slots = list(range(len(run_indices)))
-    rngs = [np.random.default_rng([cfg.seed, i]) for i in run_indices]
+    rngs = _generators(cfg.seed, run_indices)
     ks = np.empty((len(rngs), 0), dtype=np.int64)
     carry = np.zeros(len(rngs))
     switched = np.zeros(len(rngs), dtype=bool)
@@ -298,7 +321,7 @@ def _walk(
     while slots:
         draws = min(size, max_batches - drawn)
         last = drawn + draws == max_batches  # the last batch is always decided
-        block = np.stack([rng.binomial(n, p, size=draws) for rng in rngs])
+        block = sampler.draw(rngs, draws)
         ks = np.concatenate((ks, block), axis=1)
         s = ranks.steps(block)
         s[:, 0] += carry
@@ -363,6 +386,249 @@ def _walk(
         drawn += draws
         size *= 2
     return results
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for a
+# pool of 4 uint32 words
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _run_index(i: object) -> int:
+    """i as an int, or ValueError unless it is a non-negative integer."""
+    try:
+        value = operator.index(i)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"run index must be a non-negative integer, got {i!r}")
+    return value
+
+
+def _uint32_words(value: int) -> list[int]:
+    """value as little-endian uint32 words, [0] for 0, as SeedSequence
+    splits an int of its entropy."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+class _SeedWords:
+    """The ISeedSequence that hands PCG64 four precomputed state words.
+
+    PCG64(seed_seq) reads only seed_seq.generate_state(4, np.uint64);
+    _generators registers this class with numpy's ISeedSequence when it
+    first runs, so the module imports no numpy."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype: object = None) -> np.ndarray:
+        return self.words
+
+
+def _generators(seed: int, run_indices: list[int]) -> list[np.random.Generator]:
+    """np.random.default_rng([seed, i]) for each i of run_indices.
+
+    default_rng([seed, i]) seeds PCG64 with
+    SeedSequence([seed, i]).generate_state(4, np.uint64), a hash of the
+    entropy words (seed's uint32 words, then i's) whose multipliers do
+    not depend on the words.  So the runs with equally many words share
+    every step, one uint32 array op each, and each run's 4 state words
+    go to PCG64 directly.
+    """
+    import numpy as np
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    entropy = [_uint32_words(seed) + _uint32_words(i) for i in run_indices]
+    state = np.empty((len(entropy), 2 * _POOL), dtype=np.uint32)
+    for width in set(map(len, entropy)):
+        rows = [r for r, words in enumerate(entropy) if len(words) == width]
+        columns = np.array([entropy[r] for r in rows], dtype=np.uint32).T
+        state[rows] = _seed_state(columns).T
+    words = state.astype("<u4").view("<u8").astype(np.uint64)  # as generate_state
+    return [Generator(PCG64(_SeedWords(row))) for row in words]
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(e).generate_state(8, np.uint32) for every column e of
+    the (words, runs) uint32 array entropy, as an (8, runs) array: the
+    pool mixing of SeedSequence.mix_entropy, then generate_state's hash."""
+    import numpy as np
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = x * _MIX_L - y * _MIX_R
+        return x ^ x >> 16
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    generate = _hasher(_INIT_B, _MULT_B)
+    return np.stack([generate(pool[t % _POOL]) for t in range(2 * _POOL)])
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hash step on uint32 arrays, its multiplier const
+    advanced by mult at each call."""
+
+    def step(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return step
+
+
+#: Leading bits of a uniform double that index _Sampler's table.
+_TABLE_BITS = 16
+
+
+@functools.lru_cache(maxsize=16)
+def _sampler(n: int, p: float) -> _Sampler:
+    """The _Sampler of (n, p), built once per config."""
+    return _Sampler(n, p)
+
+
+class _Sampler:
+    """Blocks of rng.binomial(n, p, size=draws) for a list of generators.
+
+    In numpy's inversion regime (see run_trials) a block is
+    rng.random(draws) decoded by the thresholds T_x: a table over each
+    double's leading _TABLE_BITS bits gives the X at its bucket's low
+    end, then X += 1 while U > T_X for the few doubles past a threshold
+    inside their bucket.  A double past T_bound, where numpy's loop
+    restarts, yields no draw: its row keeps the others in order and tops
+    up from its generator.  Other configs call rng.binomial.
+    """
+
+    def __init__(self, n: int, p: float):
+        import numpy as np
+
+        self.n, self.p = n, p
+        self.flip = p > 0.5
+        # numpy's random_binomial_inversion, replayed in its operation order:
+        # X at p_inv = min(p, 1 - p), q^n, bound and the pmf recurrence px
+        p_inv = 1.0 - p if self.flip else p
+        self.table = None
+        if not (0.0 < p < 1.0 and p_inv * n <= 30.0):
+            return
+        q = 1.0 - p_inv
+        qn = math.exp(n * math.log(q))
+        mean = n * p_inv
+        bounds = {int(min(n, _fma(10.0, math.sqrt(_fma(mean, q, 1.0, fa)), mean, fb)))
+                  for fa in (False, True) for fb in (False, True)}
+        if len(bounds) > 1:
+            return  # bound depends on fused multiply-adds: leave it to numpy
+        (self.bound,) = bounds
+        px = [qn]
+        for x in range(1, self.bound + 1):
+            px.append(((n - x + 1) * p_inv * px[-1]) / (x * q))
+        thresholds = _inversion_thresholds(px)
+        self.thresholds = np.array([*thresholds, math.inf])  # X <= bound + 1
+        # bucket b holds the U with leading bits b; its entry counts the
+        # thresholds below its low end, those whose own bucket is below b
+        edges = [0, *(int(t * (1 << _TABLE_BITS)) + 1 for t in thresholds),
+                 1 << _TABLE_BITS]
+        self.table = np.frombuffer(b"".join(
+            bytes([x]) * (b - a) for x, (a, b) in enumerate(itertools.pairwise(edges))
+        ), dtype=np.uint8)
+
+    def draw(self, rngs: list, draws: int) -> np.ndarray:
+        """The (len(rngs), draws) int64 array of rngs[r].binomial(n, p,
+        size=draws) in row r."""
+        import numpy as np
+
+        if self.table is None:
+            return np.stack([rng.binomial(self.n, self.p, size=draws) for rng in rngs])
+        u = np.empty((len(rngs), draws))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        x = self._decode(u)
+        (restarts,) = (x == self.bound + 1).any(axis=1).nonzero()
+        for r in restarts.tolist():
+            row = x[r][x[r] <= self.bound]
+            while row.size < draws:
+                more = self._decode(rngs[r].random(draws - row.size))
+                row = np.concatenate((row, more[more <= self.bound]))
+            x[r] = row
+        x = x.astype(np.int64)
+        return self.n - x if self.flip else x
+
+    def _decode(self, u: np.ndarray) -> np.ndarray:
+        """X of each double of u: bound + 1 where the walk restarts."""
+        import numpy as np
+
+        x = self.table.take((u * (1 << _TABLE_BITS)).astype(np.intp))
+        flat_u, flat_x = u.reshape(-1), x.reshape(-1)
+        (up,) = (flat_u > self.thresholds.take(flat_x)).nonzero()
+        while up.size:  # the few doubles past a threshold inside their bucket
+            flat_x[up] += 1
+            up = up[flat_u[up] > self.thresholds.take(flat_x[up])]
+        return x
+
+
+def _fma(a: float, b: float, c: float, fused: bool) -> float:
+    """a * b + c rounded once if fused, else rounded after each op."""
+    if fused:
+        return float(Fraction(a) * Fraction(b) + Fraction(c))
+    return a * b + c
+
+
+def _inversion_thresholds(px: list[float]) -> list[float]:
+    """T_0..T_bound of _Sampler for the pmf steps px_0..px_bound.
+
+    next_double gives the doubles k 2^-53, 0 <= k < 2^53, and walk j
+    stops such a U when (...((U - px_0) - px_1) ... - px_{j-1}), rounded
+    after each subtraction, is at most px_j.  Being monotone in U, that
+    holds exactly up to some a_j, found by bisection over k, and T_x =
+    max(a_0..a_x).  The search starts from a bracket of 4 j + 8 steps of
+    2^-53 around the float sum px_0 + ... + px_j, wider than the rounding
+    of j subtractions and of that sum, and falls back to all k where the
+    bracket does not hold.
+    """
+    end = 1 << 53  # k = 2^53, U = 1.0: past every draw
+
+    def rest(k: int, j: int) -> float:
+        u = k * 2.0**-53
+        for step in px[:j]:
+            u -= step
+        return u
+
+    thresholds, total, top = [], 0.0, 0
+    for j, step in enumerate(px):
+        total += step
+        guess = int(total * end)
+        lo, hi = max(guess - 4 * j - 8, 0), min(guess + 4 * j + 8, end)
+        if rest(lo, j) > step:
+            lo = 0  # U = 0.0: every walk stops there
+        if hi < end and rest(hi, j) <= step:
+            hi = end
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if rest(mid, j) <= step:
+                lo = mid
+            else:
+                hi = mid
+        top = max(top, lo)
+        thresholds.append(top * 2.0**-53)
+    return thresholds
 
 
 def _power_product(base: dict[int, int], exp: dict[int, int]) -> int:

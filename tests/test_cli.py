@@ -315,10 +315,21 @@ class TestBatch:
         # three of the five trials truncate at 10 000 batches
         ("--n 3 --p 0.5 --epsilon 1e-6 --trials 5",
          "d958dda5b8bbaff90d64462680c21d93a322d378f567b74d67d72ca63423099e"),
+        # numpy draws n - X at 1 - p for p > 1/2
+        ("--p 0.8 --epsilon 0.01 --trials 200",
+         "7fac70afe642cec4cb55544d01e1a04961463ac998942cf1418782bd2c916840"),
+        # numpy's inversion stops at a bound of 14 < n
+        ("--p 0.05 --epsilon 0.01 --trials 200",
+         "9cde556943b485b13b80873be67918cc2a9eae75bb12061b1b75abf4b00d22f2"),
+        # n p = 500 > 30: numpy draws by BTPE, not by inversion
+        ("--n 1000 --epsilon 0.01 --trials 50",
+         "bcf209f1290f79ecec306c8ab3f0807795b09d1bf20c130e3339c3114249e695"),
     ])
     def test_pinned_bytes(self, tmp_path, args, sha256):
-        # sha256 of the dataset from the per-batch loop that run_batches
-        # replaced (one scalar draw and one exact product per batch)
+        # sha256 of the datasets drawn with Generator.binomial itself: the
+        # first three by the per-batch loop that run_batches replaced (one
+        # scalar draw and one exact product per batch), the others by the
+        # block walk before its draws were decoded from Generator.random
         code, text = run_cli(["batch", *args.split()], tmp_path)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
@@ -340,6 +351,17 @@ class TestBatch:
         )
         assert code == 0
         assert strict_json(text)["summary"]["stderr_m"] is None
+
+    def test_json_text_is_that_of_dumps(self, monkeypatch):
+        # _json joins the encoder's tokens _JSON_JOIN at a time
+        monkeypatch.setattr(cli, "_JSON_JOIN", 7)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.1, seed=3)
+        header, rows, summary = cli.cmd_batch(cfg, trials=40)
+        doc = {"schema": "batch/1", "rows": [dict(zip(header, row)) for row in rows],
+               "summary": summary, "empty": [{}, []], "text": "τ"}
+        assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        with pytest.raises(ValueError):
+            cli._json({"rows": [1.0, math.nan]})
 
 
 class TestEof:

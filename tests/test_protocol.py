@@ -323,3 +323,147 @@ class TestMatchesReference:
         expected = [_outcome(_reference_run_batches, cfg, run) for run in order]
         assert _walked(cfg, order) == expected
         assert _walked(cfg, iter(order)) == expected  # any iterable, consumed lazily
+
+
+class TestGenerators:
+    """_generators gives every run the stream of default_rng([seed, i])."""
+
+    @pytest.mark.parametrize("seed", [0, 0xC0FFEE, 2**64 + 1, 2**200])
+    def test_seeding_word_for_word(self, seed):
+        # 2^32 and 2^40 have two entropy words where the others have one
+        indices = [0, 1, 2**32 - 1, 2**32, 2**40, 7]
+        for i, rng in zip(indices, protocol._generators(seed, indices)):
+            words = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+            assert rng.bit_generator.seed_seq.words.tolist() == words.tolist(), i
+            ref = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == ref.bit_generator.state, i
+            assert rng.random(4).tolist() == ref.random(4).tolist(), i
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
+    def test_bad_run_index_rejected_before_any_draw(self, monkeypatch, bad):
+        def no_draws(seed, run_indices):
+            raise AssertionError("drew before checking the run indices")
+
+        monkeypatch.setattr(protocol, "_generators", no_draws)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.1)
+        with pytest.raises(ValueError, match="run index") as err:
+            list(run_trials(cfg, [0, bad]))
+        assert repr(bad) in str(err.value)
+        with pytest.raises(ValueError, match="run index"):
+            run_batches(cfg, bad)
+
+    def test_numpy_integer_run_index(self):
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.01)
+        assert run_batches(cfg, np.int64(3)) == run_batches(cfg, 3)
+
+
+def _inversion_walk(u: float, n: int, p: float) -> float:
+    """X of numpy's random_binomial_inversion (p <= 1/2) on the one
+    double u, transcribed from its C loop; inf where it would restart."""
+    q = 1.0 - p
+    px = math.exp(n * math.log(q))
+    bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            return math.inf
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+#: PCG64's 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state_before(output: int, ahead: int, inc: int) -> int:
+    """A PCG64 state whose (ahead + 1)-th next 64-bit output is output.
+
+    PCG64 steps state = state * MULT + inc (mod 2^128), then outputs the
+    new state's high and low halves xored and rotated right by its top 6
+    bits; this picks a high half, solves for the low one and steps back.
+    """
+    hi = 0x0123456789ABCDEF
+    rot = hi >> 58
+    lo = ((output << rot | output >> (64 - rot)) & (2**64 - 1)) ^ hi
+    state = hi << 64 | lo
+    inverse = pow(_PCG64_MULT, -1, 2**128)
+    for _ in range(ahead + 1):
+        state = (state - inc) * inverse % 2**128
+    return state
+
+
+class TestSampler:
+    """_Sampler.draw equals Generator.binomial on the same streams."""
+
+    @staticmethod
+    def _same_as_numpy(n, p, sizes=(1, 16, 32, 1000, 20_000), runs=3):
+        sampler = protocol._Sampler(n, p)
+        ours = [np.random.default_rng([5, r]) for r in range(runs)]
+        ref = [np.random.default_rng([5, r]) for r in range(runs)]
+        for size in sizes:
+            block = sampler.draw(ours, size)
+            assert block.dtype == np.int64
+            assert block.tolist() == [rng.binomial(n, p, size=size).tolist() for rng in ref]
+        for a, b in zip(ours, ref):  # and each stream is left where numpy leaves it
+            assert a.bit_generator.state == b.bit_generator.state
+        return sampler
+
+    @pytest.mark.parametrize(("n", "p"), [
+        (20, 0.5), (7, 0.3), (100, 0.2),
+        (20, 0.8), (20, 0.95), (50, 0.7),        # p > 1/2: n - X at 1 - p
+        (100, 0.2999), (120, 0.7501), (60, 0.5),  # n min(p, 1 - p) just under 30, or at it
+        (20, 0.05), (1000, 0.01), (10**6, 3e-5),  # bound < n
+        (1, 0.3), (1, 0.5), (1, 0.7),
+    ])
+    def test_inversion_regime_is_replayed(self, n, p):
+        sampler = self._same_as_numpy(n, p)
+        assert sampler.table is not None
+
+    @pytest.mark.parametrize(("n", "p"), [
+        (100, 0.3001), (120, 0.7499), (61, 0.5),  # n min(p, 1 - p) just over 30: BTPE
+        (20, 0.0), (20, 1.0), (1, 0.0), (1, 1.0),
+        # numpy's bound is 43 or 44 as its compiler fuses multiply-adds or not
+        (150, 0.072),
+    ])
+    def test_other_configs_call_numpy(self, n, p):
+        sampler = self._same_as_numpy(n, p)
+        assert sampler.table is None
+
+    @pytest.mark.parametrize(("n", "p"), [(20, 0.5), (20, 0.05), (7, 0.3), (1000, 0.01)])
+    def test_thresholds_are_the_last_draws_of_each_x(self, n, p):
+        # T_x is the largest double k 2^-53 (the doubles next_double gives)
+        # whose walk gives X <= x: one such double up, numpy's loop goes
+        # past x (or restarts)
+        sampler = protocol._Sampler(n, p)
+        for x, t in enumerate(sampler.thresholds[:-1].tolist()):
+            assert (t * 2.0**53).is_integer()
+            assert _inversion_walk(t, n, p) <= x
+            up = t + 2.0**-53
+            if up < 1.0:
+                assert _inversion_walk(up, n, p) > x
+
+    @pytest.mark.parametrize(("n", "p"), [(20, 0.05), (1000, 0.01), (20, 0.8)])
+    @pytest.mark.parametrize("ahead", [0, 5, 15])
+    def test_restart_matches_numpy(self, n, p, ahead):
+        # the largest double next_double can give, 1 - 2^-53, lies above
+        # T_bound here, so numpy's walk restarts on the next double
+        sampler = protocol._Sampler(n, p)
+        top = 1.0 - 2.0**-53
+        assert sampler._decode(np.array([top])).tolist() == [sampler.bound + 1]
+        rngs = [np.random.default_rng([9, r]) for r in range(3)]
+        state = rngs[1].bit_generator.state
+        inc = state["state"]["inc"]
+        state["state"]["state"] = _pcg64_state_before(2**64 - 1, ahead, inc)
+        rngs[1].bit_generator.state = state
+        ref = [np.random.default_rng(0) for _ in rngs]
+        for a, b in zip(ref, rngs):
+            a.bit_generator.state = b.bit_generator.state
+        probe = np.random.default_rng(0)
+        probe.bit_generator.state = state
+        assert probe.random(ahead + 1)[-1] == top
+        block = sampler.draw(rngs, 16)
+        assert block.tolist() == [rng.binomial(n, p, size=16).tolist() for rng in ref]
+        for a, b in zip(rngs, ref):
+            assert a.bit_generator.state == b.bit_generator.state
