@@ -15,10 +15,13 @@ the nonzero pattern of the B|C matrix splits it into, applies the
 compression relabeling as an explicit change of basis, and simulates
 one-sided circuits (tuples of :class:`Gate`) gate by gate: each gate's
 2x2 (or, for CNOT, 4x4) matrix is contracted with the qubit axes it acts
-on, so no operator as large as the state is ever formed.  Single strings and test states are uniform superpositions
-of strings (:func:`superpose_strings`), and every state, relabeled
-images too, is built the same way: a ``(2,)*n`` tensor of logical
-theta/tau coefficients mapped to amplitudes by that change of basis.
+on, so no operator as large as the state is ever formed.  Single
+strings and test states are uniform superpositions of strings
+(:func:`superpose_strings`), and every state, relabeled images too, is
+built the same way: a ``(2,)*n`` tensor of logical theta/tau
+coefficients mapped to amplitudes by that change of basis, applied pair
+by pair in Kronecker order (one ``(4, 2)`` matrix product per pair)
+straight into the B|C matrix, with no transpose over all 2n qubit axes.
 Storage is real (float64) by default, since the stock encodings
 and gates are real; the dtype follows the encoding, so a caller-built
 complex :class:`PairEncoding` gives complex states.  Everything is
@@ -333,36 +336,32 @@ def ubc_codebook(n: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     return list(zip(perms, codewords(count, (count - 1).bit_length(), n)))
 
 
-def _pair_major(amps: np.ndarray, n: int) -> np.ndarray:
-    # (b0..b_{n-1}, c0..c_{n-1}) axes -> one length-4 axis (b_j, c_j) per pair
-    t = amps.reshape((2,) * (2 * n))
-    order = [a for j in range(n) for a in (j, n + j)]
-    return t.transpose(order).reshape((4,) * n)
-
-
-def _from_pair_major(t: np.ndarray, n: int) -> np.ndarray:
-    full = t.reshape((2,) * (2 * n))
-    order = [2 * j for j in range(n)] + [2 * j + 1 for j in range(n)]
-    return full.transpose(order).reshape(4**n)
-
-
 def _logical_coefficients(state: PureStateVector, enc: PairEncoding) -> np.ndarray:
-    # Contract each pair with <theta| and <tau|; axis j of the result is the
-    # logical (theta=0 / tau=1) index of pair j.
+    # _from_logical undone step by step: split the leading bit off B and off
+    # C and contract that pair with <theta| and <tau|, its logical bit going
+    # ahead of X.  Axis j of the result is the logical index of pair j.
     n = state.n_pairs
-    w = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).conj().T  # (4, 2)
-    t = _pair_major(state.amps, n)
+    w = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).conj()  # (2, 4)
+    t = state.as_matrix()[None]
     for _ in range(n):
-        t = np.tensordot(t, w, axes=([0], [0]))
-    return t
+        x, b, c = t.shape
+        t = t.reshape(x, 2, b // 2, 2, c // 2).transpose(1, 3, 0, 2, 4)
+        t = (w @ t.reshape(4, -1)).reshape(2 * x, b // 2, c // 2)
+    return t.reshape((2,) * n).T
 
 
 def _from_logical(logical: np.ndarray, n: int, enc: PairEncoding) -> PureStateVector:
-    a = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)])  # (2, 4)
-    t = logical
+    # Kronecker order, last pair first, on t = (X, B, C): X holds the logical
+    # bits of the pairs to do (pair 0's last), B and C the bits of the pairs
+    # done.  A step maps X's leading bit to its pair's (b, c) and puts b ahead
+    # of B and c ahead of C, so t ends as the B|C matrix itself.
+    a = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).T  # (4, 2)
+    t = logical.T.reshape(-1, 1, 1)
     for _ in range(n):
-        t = np.tensordot(t, a, axes=([0], [0]))
-    return PureStateVector(n_pairs=n, amps=_from_pair_major(t, n))
+        x, b, c = t.shape
+        t = (a @ t.reshape(2, -1)).reshape(2, 2, x // 2, b, c)
+        t = t.transpose(2, 0, 3, 1, 4).reshape(x // 2, 2 * b, 2 * c)
+    return PureStateVector(n_pairs=n, amps=t.reshape(-1))
 
 
 def apply_ubc(

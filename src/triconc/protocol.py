@@ -25,7 +25,8 @@ sequential sum, and the rows only share the table of C(n, k), whose
 entries do not depend on who asked first.  The streams are numpy's: run
 i's is PCG64 seeded by SeedSequence([seed, i]), and its k equal
 Generator.binomial(n, p)'s on that stream.  run_trials gets both in bulk
-(_generators hashes the seeds of a chunk of runs at once; _Sampler
+(_generators hashes the seeds of a chunk of runs at once, and asks
+SeedSequence itself for the few runs of a short chunk; _Sampler
 decodes the draws from the same uniform doubles numpy's sampler reads)
 and imports numpy when it is first called, not at import.
 """
@@ -70,6 +71,9 @@ _FIRST_BLOCK = 16
 
 #: Runs that run_trials walks together, one row of each block per run.
 _CHUNK = 64
+
+#: Fewest runs that _generators seeds by its bulk hash (see there).
+_BULK_SEEDING = 16
 
 
 @dataclass(frozen=True)
@@ -441,13 +445,18 @@ def _generators(seed: int, run_indices: list[int]) -> list[np.random.Generator]:
     entropy words (seed's uint32 words, then i's) whose multipliers do
     not depend on the words.  So the runs with equally many words share
     every step, one uint32 array op each, and each run's 4 state words
-    go to PCG64 directly.
+    go to PCG64 directly.  The ~130 array ops cost as much as about 15
+    SeedSequence calls, so fewer runs than _BULK_SEEDING take their words
+    from SeedSequence itself.
     """
     import numpy as np
-    from numpy.random import PCG64, Generator
+    from numpy.random import PCG64, Generator, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)
+    if len(run_indices) < _BULK_SEEDING:
+        words = [SeedSequence([seed, i]).generate_state(4, np.uint64) for i in run_indices]
+        return [Generator(PCG64(_SeedWords(row))) for row in words]
     entropy = [_uint32_words(seed) + _uint32_words(i) for i in run_indices]
     state = np.empty((len(entropy), 2 * _POOL), dtype=np.uint32)
     for width in set(map(len, entropy)):

@@ -41,6 +41,14 @@ PHASED = PairEncoding(
 )
 
 
+#: |0>_B |+>_C and |1>_B |->_C: a product pair that, unlike the others, is
+#: not symmetric under swapping the B and C qubit, so it tells them apart.
+SKEW = PairEncoding(
+    theta=np.array([[1.0, 1.0], [0.0, 0.0]]) / math.sqrt(2),
+    tau=np.array([[0.0, 0.0], [1.0, -1.0]]) / math.sqrt(2),
+)
+
+
 def fidelity(a: PureStateVector, b: PureStateVector) -> float:
     return abs(np.vdot(a.amps, b.amps))
 
@@ -214,12 +222,47 @@ class TestKronReference:
                 unique=True,
             )
         ),
-        enc=st.sampled_from([BELL, PROD, PHASED]),
+        enc=st.sampled_from([BELL, PROD, PHASED, SKEW]),
     )
     def test_random_string_subsets(self, strings, enc):
         state = superpose_strings(strings, enc)
         assert max_dev(state, kron_reference(strings, enc)) < 1e-14
         assert abs(state.norm() - 1.0) < 1e-14
+
+    # The change of basis reshapes by n, so check pair counts past six too.
+    def test_bell_test_state_at_eight_pairs(self):
+        ref = kron_reference(permutation_strings(8, 4), BELL)
+        assert max_dev(build_test_state(TestStateSpec(8, 4)), ref) < 1e-14
+
+    def test_phased_string_at_ten_pairs(self):
+        bits = (0, 1, 1, 0, 1, 0, 0, 1, 1, 1)
+        state = string_state(bits, PHASED)
+        assert state.amps.dtype == np.complex128
+        assert max_dev(state, kron_reference([bits], PHASED)) < 1e-14
+
+
+class TestChangeOfBasis:
+    @pytest.mark.parametrize("enc", [BELL, PROD, PHASED], ids=["bell", "product", "phased"])
+    @pytest.mark.parametrize("n", range(1, oracle.MAX_DENSE_PAIRS + 1))
+    def test_logical_round_trip(self, enc, n):
+        rng = np.random.default_rng(n)
+        logical = rng.standard_normal((2,) * n) + 1j * rng.standard_normal((2,) * n)
+        back = oracle._logical_coefficients(oracle._from_logical(logical, n, enc), enc)
+        assert back.shape == logical.shape
+        # Each of the n steps out forms every entry as a two-term sum of
+        # complex products, each step back as a four-term one; a K-term sum
+        # is off by at most gamma_{K+2} times the sum of the terms' moduli
+        # (Higham, Lemma 3.5), so one step's rounding has 2-norm at most
+        # gamma_{K+2} |M|_F |t| = gamma_{K+2} sqrt2 |logical|, with M the
+        # step's (4, 2) or (2, 4) matrix.  The steps out are isometries and
+        # those back contractions, so no step amplifies an earlier error.
+        u = np.finfo(np.float64).eps / 2
+
+        def gamma(k: int) -> float:
+            return k * u / (1 - k * u)
+
+        tol = n * math.sqrt(2) * (gamma(4) + gamma(6)) * np.linalg.norm(logical)
+        assert np.linalg.norm(back - logical) <= tol
 
 
 def svd_probs(state: PureStateVector) -> np.ndarray:

@@ -339,6 +339,23 @@ class TestGenerators:
             assert rng.bit_generator.state == ref.bit_generator.state, i
             assert rng.random(4).tolist() == ref.random(4).tolist(), i
 
+    @pytest.mark.parametrize("size", [1, 15, 16, protocol._CHUNK])  # crossover 16
+    @pytest.mark.parametrize("seed", [0, 0xC0FFEE, 2**200])
+    def test_both_routes_give_the_same_words(self, monkeypatch, seed, size):
+        # one- and two-word run indices, so the bulk hash has both widths
+        indices = [(2**32 + r if r % 3 else r) for r in range(size)]
+        want = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64).tolist()
+                for i in indices]
+
+        def words():
+            return [rng.bit_generator.seed_seq.words.tolist()
+                    for rng in protocol._generators(seed, indices)]
+
+        assert words() == want  # the route size picks
+        for threshold in (0, size + 1):  # bulk, then SeedSequence, at this size
+            monkeypatch.setattr(protocol, "_BULK_SEEDING", threshold)
+            assert words() == want, threshold
+
     @pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
     def test_bad_run_index_rejected_before_any_draw(self, monkeypatch, bad):
         def no_draws(seed, run_indices):
