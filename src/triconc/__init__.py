@@ -52,9 +52,7 @@ _EXPORTS = {
     "protocol": (
         "BatchConfig",
         "BatchRunStats",
-        "TruncationError",
-        "run_batches",
-        "sample_k",
+        "run_trials",
     ),
     "eof": ("EofLedger", "concurrence", "eof_from_concurrence", "ledger", "rp_reduced_bc"),
 }

@@ -7,33 +7,30 @@ two.  The exact entanglement of the residual superposition state that
 batching leaves behind is :func:`triconc.teststate.codeword_entropy`.
 
 The stopping rule is a walk on the circle frac(log2 D_M) that stops on
-entering [0, log2(1+eps)].  run_trials walks the runs of one config
-together, _CHUNK runs at a time: it draws each run's tau counts in
-blocks, stacks the live runs' blocks into one array, follows every walk
-with a float running sum (one cumsum per block) and decides exactly, on
-the integer D_M, only at the batches where a sum comes within a margin
-of the window (see its docstring for the margin's bound).  run_batches
-is the one-run case of the same walk.
+entering [0, log2(1+eps)].  run_trials, the one entry point, walks the
+runs of one config together, _CHUNK runs at a time: it draws each run's
+tau counts in blocks, stacks the live runs' blocks into one array,
+follows every walk with a float running sum (one cumsum per block) and
+decides exactly, on the integer D_M, only at the batches where a sum
+comes within a margin of the window (see its docstring for the margin's
+bound).
 
-Reproducibility: every stochastic entry point takes an explicit seed;
-independent runs derive their streams from (seed, run_index) so trials
-can be evaluated in any order or in parallel with identical results.
-Because no two runs share a stream, draws a run makes past its stopping
-batch change nothing that any run reports, and neither does the chunk a
-run is walked in: each row of a block is its own run's draws and its own
-sequential sum, and the rows only share the table of C(n, k), whose
-entries do not depend on who asked first.  The streams are numpy's: run
-i's is PCG64 seeded by SeedSequence([seed, i]), and its k equal
-Generator.binomial(n, p)'s on that stream.  run_trials gets both in bulk
-(_generators hashes the seeds of a chunk of runs at once, and asks
-SeedSequence itself for the few runs of a short chunk; _Sampler
-decodes the draws from the same uniform doubles numpy's sampler reads)
-and imports numpy when it is first called, not at import.
+Reproducibility: every run derives its stream from (seed, run_index),
+so trials can be evaluated in any order or in parallel with identical
+results.  Because no two runs share a stream, draws a run makes past
+its stopping batch change nothing that any run reports, and neither
+does the chunk a run is walked in: each row of a block is its own run's
+draws and its own sequential sum, and the rows only share the table of
+C(n, k), whose entries do not depend on who asked first.  The streams
+are numpy's: run i's is PCG64 seeded by SeedSequence([seed, i]), and its
+k equal Generator.binomial(n, p)'s on that stream.  run_trials gets both
+in bulk (_generators hashes the seeds of a chunk of runs at once;
+_Sampler decodes the draws from the same uniform doubles numpy's sampler
+reads) and imports numpy when it is first called, not at import.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -50,9 +47,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BatchConfig",
     "BatchRunStats",
-    "TruncationError",
-    "sample_k",
-    "run_batches",
     "run_trials",
 ]
 
@@ -71,9 +65,6 @@ _FIRST_BLOCK = 16
 
 #: Runs that run_trials walks together, one row of each block per run.
 _CHUNK = 64
-
-#: Fewest runs that _generators seeds by its bulk hash (see there).
-_BULK_SEEDING = 16
 
 
 @dataclass(frozen=True)
@@ -115,26 +106,6 @@ class BatchRunStats:
     gamma_entropy_bound: float
 
 
-class TruncationError(RuntimeError):
-    """Raised when a run hits _MAX_BATCHES; carries the partial stats."""
-
-    def __init__(self, stats: BatchRunStats):
-        super().__init__(
-            f"stopping rule not met within {stats.m_batches} batches "
-            f"(eps_prime so far {stats.eps_prime:.6f})"
-        )
-        self.stats = stats
-
-
-def sample_k(n: int, p: float, rng: np.random.Generator) -> int:
-    """One binomial draw of the tau count in a batch of n copies."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of [0, 1]: {p}")
-    return int(rng.binomial(n, p))
-
-
 def _stats(
     m: int, k_list: list[int], l: int, eps_prime: float, cfg: BatchConfig
 ) -> BatchRunStats:
@@ -151,55 +122,46 @@ def _stats(
     )
 
 
-def run_batches(cfg: BatchConfig, run_index: int = 0) -> BatchRunStats:
-    """Measure batches of n copies until D_M is nearly a power of two.
-
-    After each batch the accumulated rank product D_M = prod_i C(n, k_i)
-    is tested against the window [2^l, 2^l (1 + epsilon)]; equivalently,
-    the run stops once eps_prime = D_M / 2^l - 1 with l = floor(log2
-    D_M) satisfies eps_prime <= epsilon.  While D_M fits _EXACT_BITS
-    bits the test is made on the exact integer, so float drift cannot
-    corrupt the window test near its edges; once D_M outgrows it, log2
-    D_M is log2_big of the exact product at that step plus one float add
-    of log2_big(C(n, k)) per later batch, and eps_prime = 2^(log2 D_M -
-    l) - 1.  Raises :class:`TruncationError` (carrying the partial
-    stats) if _MAX_BATCHES batches do not suffice.
-
-    This is run_trials on the single run run_index; its docstring says
-    how the rule is computed.
-    """
-    ((stats, truncated),) = run_trials(cfg, [run_index])
-    if truncated:
-        raise TruncationError(stats)
-    return stats
-
-
 def run_trials(
     cfg: BatchConfig, run_indices: Iterable[int]
 ) -> Iterator[tuple[BatchRunStats, bool]]:
-    """(stats, truncated) of run_batches(cfg, i) for each i in run_indices,
-    in order; truncated stats are those the TruncationError would carry.
+    """(stats, truncated) of the batching run of cfg for each run index
+    i in run_indices, in order.
+
+    Run i measures batches of n copies, drawing each batch's tau count k
+    from its own stream, until D_M is nearly a power of two.  After each
+    batch the accumulated rank product D_M = prod_i C(n, k_i) is tested
+    against the window [2^l, 2^l (1 + epsilon)]; equivalently, the run
+    stops once eps_prime = D_M / 2^l - 1 with l = floor(log2 D_M)
+    satisfies eps_prime <= epsilon.  While D_M fits _EXACT_BITS bits the
+    test is made on the exact integer, so float drift cannot corrupt the
+    window test near its edges; once D_M outgrows it, log2 D_M is
+    log2_big of the exact product at that step plus one float add of
+    log2_big(C(n, k)) per later batch, and eps_prime = 2^(log2 D_M - l)
+    - 1.  A run that has not stopped after _MAX_BATCHES batches is
+    truncated: it is yielded with truncated True and its stats at the
+    last batch.
 
     The runs are walked _CHUNK at a time, and a chunk's results are
     yielded before the next chunk is drawn.  Every run computes the
     stopping rule as the walk on the circle frac(log2 D_M), whose steps
     are log2 C(n, k) mod 1.  The k come in blocks of 16, 32, 64, ...
     draws from the run's own stream, which yield the same values as one
-    sample_k per batch; the draws past the stopping batch are harmless
-    because no other run reads this stream.  The live runs of a chunk
-    share the block schedule, so each block is one (runs, draws) array;
-    looked up in the table of log2_big(C(n, k)), with each run's carried
-    sum added into column 0, its cumsum along the rows is the float
-    running sum s of every run, the same floats as one s += step per
-    batch.  A batch is a candidate only where frac(s) <= log2(1 +
-    epsilon) + delta, where frac(s) >= 1 - delta, or where s >=
-    _EXACT_BITS - delta, near the switch.  Each candidate is decided as
-    in run_batches, on D_M rebuilt exactly from the count of each k so
-    far.  At the switch, s is re-anchored to log2_big(D_M) and the rest
-    of the run's row is summed again from there; after it, s is the float
-    log2 D_M itself, and eps_prime is evaluated only where frac(s) <=
-    log2(1 + epsilon) + delta.  The exact C(n, k) and their log2 are
-    computed once per call, for the k actually drawn.
+    rng.binomial(n, p) per batch; the draws past the stopping batch are
+    harmless because no other run reads this stream.  The live runs of a
+    chunk share the block schedule, so each block is one (runs, draws)
+    array; looked up in the table of log2_big(C(n, k)), with each run's
+    carried sum added into column 0, its cumsum along the rows is the
+    float running sum s of every run, the same floats as one s += step
+    per batch.  A batch is a candidate only where frac(s) <= log2(1 +
+    epsilon) + delta, and, until the run switches, where frac(s) >= 1 -
+    delta or s >= _EXACT_BITS - delta, near the switch.  Each candidate
+    is decided by the rule above, on D_M rebuilt exactly from the count
+    of each k so far.  At the switch, s is re-anchored to log2_big(D_M)
+    and the rest of the run's row is summed again from there; after it,
+    s is the float log2 D_M itself, and eps_prime is evaluated only where
+    frac(s) <= log2(1 + epsilon) + delta.  The exact C(n, k) and their
+    log2 are computed once per call, for the k actually drawn.
 
     The draws are numpy's own, got in bulk.  Run i's generator is PCG64
     seeded with the state words of SeedSequence([seed, i]), whose hash
@@ -226,7 +188,7 @@ def run_trials(
     (1 + epsilon) delta ln(2) / 2, far more than any rounding.
     """
     ranks = _Ranks(cfg.n)
-    sampler = _sampler(cfg.n, cfg.p)
+    sampler = _Sampler(cfg.n, cfg.p)
     indices = iter(run_indices)
     while chunk := [_run_index(i) for i in itertools.islice(indices, _CHUNK)]:
         yield from _walk(cfg, chunk, ranks, sampler)
@@ -331,14 +293,10 @@ def _walk(
         s[:, 0] += carry
         np.cumsum(s, axis=1, out=s)
         f = s - np.floor(s)  # s % 1.0 exactly, as s >= 0, and much faster
-        cand = (f <= window) | ((f >= wrap) & ~switched[:, None])
+        # every batch at or past near_switch stays a candidate until its
+        # run switches, and the switch sums the rest of the row again
+        cand = (f <= window) | (((f >= wrap) | (s >= near_switch)) & ~switched[:, None])
         del f
-        # s only grows, so the batches below near_switch come first; the
-        # first one past it is a candidate, and so is each later one until
-        # the run switches (see the visit below)
-        below = (s < near_switch).sum(axis=1)
-        (at_switch,) = (~switched & (below < draws)).nonzero()
-        cand[at_switch, below[at_switch]] = True
         cand[:, -1] |= last
         keep = np.ones(len(slots), dtype=bool)
         cand_cols: dict[int, list[int]] = {}  # row -> its candidate columns
@@ -375,9 +333,6 @@ def _walk(
                     else:
                         l = d.bit_length() - 1
                         eps_prime = (d - (1 << l)) / (1 << l)
-                        if (s[r, j] >= near_switch and j + 1 < draws
-                                and cols[x:x + 1] != [j + 1]):
-                            cols.insert(x, j + 1)
                 if eps_prime <= epsilon or m == max_batches:
                     stats = _stats(m, ks[r, :m].tolist(), l, eps_prime, cfg)
                     results[slots[r]] = (stats, eps_prime > epsilon)
@@ -445,18 +400,13 @@ def _generators(seed: int, run_indices: list[int]) -> list[np.random.Generator]:
     entropy words (seed's uint32 words, then i's) whose multipliers do
     not depend on the words.  So the runs with equally many words share
     every step, one uint32 array op each, and each run's 4 state words
-    go to PCG64 directly.  The ~130 array ops cost as much as about 15
-    SeedSequence calls, so fewer runs than _BULK_SEEDING take their words
-    from SeedSequence itself.
+    go to PCG64 directly.
     """
     import numpy as np
-    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)
-    if len(run_indices) < _BULK_SEEDING:
-        words = [SeedSequence([seed, i]).generate_state(4, np.uint64) for i in run_indices]
-        return [Generator(PCG64(_SeedWords(row))) for row in words]
     entropy = [_uint32_words(seed) + _uint32_words(i) for i in run_indices]
     state = np.empty((len(entropy), 2 * _POOL), dtype=np.uint32)
     for width in set(map(len, entropy)):
@@ -507,12 +457,6 @@ def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
 
 #: Leading bits of a uniform double that index _Sampler's table.
 _TABLE_BITS = 16
-
-
-@functools.lru_cache(maxsize=16)
-def _sampler(n: int, p: float) -> _Sampler:
-    """The _Sampler of (n, p), built once per config."""
-    return _Sampler(n, p)
 
 
 class _Sampler:

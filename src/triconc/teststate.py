@@ -19,13 +19,13 @@ S_{n-i} = (-1)^k S_i, and adds the terms in weight order.  The
 input entanglement is the entropy of that spectrum; the output
 entanglement after the compression relabeling is n - log2 C(n, k) in
 the power-of-two idealization.  :func:`codeword_entropy` gives it
-exactly for the lexicographic codebook up to C(n, k) = 2^20, and for the
-residual state that batching (:mod:`triconc.protocol`) leaves, by the
-same per-term values and ordered sum.  Slope fits of the gap are plain
-``(slope, intercept, rms_residual)`` tuples.  The product encoding
-|00>/|11>, the reversible control, is a dense-oracle matter
-(:class:`triconc.oracle.PairEncoding`): relabeling orthogonal strings
-moves no entanglement, so it needs no closed form here.
+exactly for the lexicographic codebook at any C(n, k), and for the
+residual state that batching (:mod:`triconc.protocol`) leaves, in O(log2
+C(n, k)) terms by the same per-term values and ordered sum.  Slope fits
+of the gap are plain ``(slope, intercept, rms_residual)`` tuples.  The
+product encoding |00>/|11>, the reversible control, is a dense-oracle
+matter (:class:`triconc.oracle.PairEncoding`): relabeling orthogonal
+strings moves no entanglement, so it needs no closed form here.
 """
 
 from __future__ import annotations
@@ -126,21 +126,39 @@ def codeword_entropy(count: int, n: int) -> float:
     batching state.  It is diagonal with amplitude W(b) / sqrt(2^m count)
     on the m leading pairs, W the Walsh-Hadamard transform of the
     indicator of {0, ..., count-1} (Parseval: sum_b W(b)^2 = 2^m count);
-    each of the n - m theta pairs adds one ebit.  Integers throughout, up
-    to the final logarithm.  The transform has 2^m entries, so m is
-    capped at 20; n is not."""
+    each of the n - m theta pairs adds one ebit.  W^2 takes at most m + 1
+    values (:func:`_walsh_squares`), so the entropy is O(m) terms for any
+    count.  Integers throughout, up to the final logarithm."""
     m = (count - 1).bit_length()
     if count < 1 or m > n:  # 1 <= count <= 2^n without building 2^n
         raise ValueError(f"need 1 <= count <= 2^{n}, got {count}")
-    if m > 20:
-        raise ValueError(f"count {count} needs a 2^{m}-entry transform, past 2^20")
-    w = [1] * count + [0] * ((1 << m) - count)
-    for h in (1 << a for a in range(m)):
-        for i in range(0, 1 << m, 2 * h):
-            for j in range(i, i + h):
-                w[j], w[j + h] = w[j] + w[j + h], w[j] - w[j + h]
-    terms = entropy_terms(((1, v * v) for v in w if v), count, m)
-    return ordered_sum(terms) + (n - m)
+    return ordered_sum(entropy_terms(_walsh_squares(count), count, m)) + (n - m)
+
+
+def _walsh_squares(count: int) -> list[tuple[int, int]]:
+    """(multiplicity, W(b)^2) for the nonzero W^2 of the Walsh-Hadamard
+    transform W(b) = sum_{x < count} (-1)^popcount(x & b) on m = ceil(log2
+    count) bits: W(0)^2 = count^2 once, then for each t < m the 2^(m-1-t)
+    values of b with t trailing zeros.
+
+    [0, count) is a union of dyadic blocks, one per set bit j of count:
+    the 2^j integers that agree with count above bit j, have bit j clear
+    and any bits below it.  Let b != 0 have t trailing zeros.  A block
+    with j > t varies bit t of x, which b reads, so it sums to 0; a block
+    with j <= t varies only bits b does not read, so it sums to +-2^j.
+    The blocks with j < t agree with count on every bit b reads and share
+    one sign; the block at j = t, if bit t of count is set, has that bit
+    clear and the other sign.  So with r = count mod 2^t, |W(b)| = r when
+    bit t of count is 0 and 2^t - r when it is 1, whatever b's bits above
+    t are."""
+    m = (count - 1).bit_length()
+    squares = [(1, count * count)]
+    for t in range(m):
+        r = count & ((1 << t) - 1)
+        w = (1 << t) - r if count >> t & 1 else r
+        if w:
+            squares.append((1 << (m - 1 - t), w * w))
+    return squares
 
 
 @dataclass(frozen=True)

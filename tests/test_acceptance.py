@@ -229,7 +229,7 @@ def test_c07_two_pair_relabeling_by_one_sided_gates():
 
 
 def _expected_batches(n: int, p: float, eps: float, grid: int) -> float:
-    """E[T] for the stopping rule of run_batches, computed without it.
+    """E[T] for the batching stopping rule, computed without running it.
 
     The run stops at the first M >= 1 with frac(log2 D_M) in
     [0, log2(1 + eps)]: a walk on the circle from 0 with steps
@@ -263,7 +263,7 @@ def _expected_batches(n: int, p: float, eps: float, grid: int) -> float:
 def test_c08_batching_statistics():
     """eps = 0.1, n = 20, p = 0.5, 2000 seeded trials: every run has
     eps' in [0, eps], and the mean batch count lies within 3 standard
-    errors of the expected hitting time E[T] of run_batches' stopping
+    errors of the expected hitting time E[T] of the batching stopping
     rule, computed independently by :func:`_expected_batches` (grid
     discretization below 1e-3, shown by a grid twice as fine).
 

@@ -327,9 +327,9 @@ class TestBatch:
     ])
     def test_pinned_bytes(self, tmp_path, args, sha256):
         # sha256 of the datasets drawn with Generator.binomial itself: the
-        # first three by the per-batch loop that run_batches replaced (one
-        # scalar draw and one exact product per batch), the others by the
-        # block walk before its draws were decoded from Generator.random
+        # first three by the per-batch loop that the block walk replaced
+        # (one scalar draw and one exact product per batch), the others by
+        # the block walk before its draws were decoded from Generator.random
         code, text = run_cli(["batch", *args.split()], tmp_path)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == sha256

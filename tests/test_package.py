@@ -22,7 +22,7 @@ EXPORTS = {
     "build_test_state", "compression_circuit_n2", "entanglement_delta",
     "entropy_of", "schmidt_spectrum", "string_state", "superpose_strings",
     "ubc_codebook", "verify_n2_circuit",
-    "BatchConfig", "BatchRunStats", "TruncationError", "run_batches", "sample_k",
+    "BatchConfig", "BatchRunStats", "run_trials",
     "EofLedger", "concurrence", "eof_from_concurrence", "ledger", "rp_reduced_bc",
 }
 

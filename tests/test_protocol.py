@@ -8,24 +8,18 @@ import pytest
 
 from triconc import protocol
 from triconc.exactmath import binom, log2_big
-from triconc.protocol import (
-    BatchConfig,
-    TruncationError,
-    run_batches,
-    run_trials,
-    sample_k,
-)
+from triconc.protocol import BatchConfig, run_trials
 
 
 def _reference_run_batches(cfg: BatchConfig, run_index: int = 0):
-    """The stopping rule as one scalar draw and one exact product per
-    batch: run_batches before the walk on the circle, kept verbatim."""
+    """("ok" | "truncated", stats) of one run, by the stopping rule as
+    one scalar draw and one exact product per batch."""
     rng = np.random.default_rng([cfg.seed, run_index])
     d_exact: int | None = 1
     log2_d = 0.0
     k_list: list[int] = []
     for m in range(1, protocol._MAX_BATCHES + 1):
-        k = sample_k(cfg.n, cfg.p, rng)
+        k = int(rng.binomial(cfg.n, cfg.p))
         k_list.append(k)
         step = binom(cfg.n, k)
         if d_exact is not None:
@@ -42,53 +36,28 @@ def _reference_run_batches(cfg: BatchConfig, run_index: int = 0):
             l = math.floor(log2_d)
             eps_prime = 2.0 ** (log2_d - l) - 1.0
         if eps_prime <= cfg.epsilon:
-            return protocol._stats(m, k_list, l, eps_prime, cfg)
-    raise TruncationError(protocol._stats(protocol._MAX_BATCHES, k_list, l, eps_prime, cfg))
-
-
-def _outcome(run, cfg: BatchConfig, run_index: int):
-    """("ok", stats) or ("truncated", the partial stats) of one run."""
-    try:
-        return "ok", run(cfg, run_index)
-    except TruncationError as err:
-        return "truncated", err.stats
+            return "ok", protocol._stats(m, k_list, l, eps_prime, cfg)
+    return "truncated", protocol._stats(protocol._MAX_BATCHES, k_list, l, eps_prime, cfg)
 
 
 def _walked(cfg: BatchConfig, run_indices) -> list:
-    """The outcomes of _outcome, in order, from one multi-run walk."""
+    """The outcomes of _reference_run_batches, in order, from one walk of
+    run_trials over run_indices."""
     return [("truncated" if truncated else "ok", stats)
             for stats, truncated in run_trials(cfg, run_indices)]
 
 
-class TestSampleK:
-    def test_degenerate_probabilities(self):
-        rng = np.random.default_rng(1)
-        assert all(sample_k(12, 0.0, rng) == 0 for _ in range(50))
-        assert all(sample_k(12, 1.0, rng) == 12 for _ in range(50))
-
-    def test_mean_matches_binomial_moments(self):
-        rng = np.random.default_rng(0xC0FFEE)
-        draws = [sample_k(100, 0.8, rng) for _ in range(100_000)]
-        assert abs(sum(draws) / len(draws) - 80.0) < 0.4
-
-    def test_validation(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            sample_k(0, 0.5, rng)
-        with pytest.raises(ValueError):
-            sample_k(5, 1.5, rng)
-
-
 class TestRunBatches:
+    """Batching runs, walked by one run_trials call per range of runs."""
+
     def test_wide_window_stops_immediately(self):
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.999)
-        for run in range(200):
-            assert run_batches(cfg, run_index=run).m_batches == 1
+        assert [stats.m_batches for stats, _ in run_trials(cfg, range(200))] == [1] * 200
 
     def test_stopping_invariant_many_seeds(self):
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.1)
-        for run in range(10_000):
-            stats = run_batches(cfg, run_index=run)
+        for stats, truncated in run_trials(cfg, range(10_000)):
+            assert not truncated
             d = 1
             for k in stats.k_list:
                 d *= binom(20, k)
@@ -101,7 +70,8 @@ class TestRunBatches:
 
     def test_reported_fields_are_consistent(self):
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.1, seed=7)
-        stats = run_batches(cfg)
+        ((stats, truncated),) = run_trials(cfg, [0])
+        assert not truncated
         assert stats.m_batches == len(stats.k_list)
         assert abs(stats.gamma_log2 - (stats.l + math.log2(1 + stats.eps_prime))) < 1e-12
         assert stats.gamma_entropy_bound == 2 * (0.1 * stats.n_total + 2)
@@ -113,14 +83,14 @@ class TestRunBatches:
         # rarely hit the window, inflating the count above the former).
         for eps in (0.05, 0.1, 0.2):
             cfg = BatchConfig(n=20, p=0.5, epsilon=eps)
-            ms = [run_batches(cfg, run_index=r).m_batches for r in range(2000)]
+            ms = [stats.m_batches for stats, _ in run_trials(cfg, range(2000))]
             mean = sum(ms) / len(ms)
             se = np.std(ms, ddof=1) / math.sqrt(len(ms))
             assert 1 / math.log2(1 + eps) - 3 * se < mean < 1 / eps + 3 * se
 
     def test_expected_tail_tracks_one_minus_h(self):
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.1)
-        runs = [run_batches(cfg, run_index=r) for r in range(500)]
+        runs = [stats for stats, _ in run_trials(cfg, range(500))]
         # the relabeling parks n_total - ceil(log2 D_M) pairs in theta
         tails = [r.n_total - r.l - (r.eps_prime > 0) for r in runs]
         ratio = sum(tails) / sum(r.n_total for r in runs)
@@ -132,18 +102,17 @@ class TestRunBatches:
 
     def test_determinism_and_stream_independence(self):
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.1, seed=123)
-        a = run_batches(cfg, run_index=5)
-        b = run_batches(cfg, run_index=5)
+        a, b, c = (stats for stats, _ in run_trials(cfg, [5, 5, 6]))
         assert a.k_list == b.k_list
-        c = run_batches(cfg, run_index=6)
         assert a.k_list != c.k_list
+        ((alone, _),) = run_trials(cfg, [5])
+        assert alone == a
 
     def test_truncation_carries_partial_stats(self, monkeypatch):
         monkeypatch.setattr(protocol, "_MAX_BATCHES", 3)
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.001)
-        with pytest.raises(TruncationError) as err:
-            run_batches(cfg, run_index=0)
-        stats = err.value.stats
+        ((stats, truncated),) = run_trials(cfg, [0])
+        assert truncated
         assert stats.m_batches == 3
         assert len(stats.k_list) == 3
         assert stats.eps_prime > 0.001
@@ -152,24 +121,24 @@ class TestRunBatches:
         # Past _EXACT_BITS the run adds log2 C(n, k) in floats; every
         # crossing run must still agree with D_M rebuilt exactly.
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.001)
-        crossed = [s for s in (run_batches(cfg, run_index=r) for r in range(60))
+        crossed = [s for s, _ in run_trials(cfg, range(60))
                    if _check_float_path(s, 20, protocol._EXACT_BITS)]
         assert len(crossed) == 23
 
         monkeypatch.setattr(protocol, "_EXACT_BITS", 64)
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.1)
-        for run in range(2000):
-            _check_float_path(run_batches(cfg, run_index=run), 20, 64)
+        for stats, _ in run_trials(cfg, range(2000)):
+            _check_float_path(stats, 20, 64)
 
         monkeypatch.setattr(protocol, "_MAX_BATCHES", 20)
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.001)
-        with pytest.raises(TruncationError) as err:
-            run_batches(cfg, run_index=0)
-        assert _check_float_path(err.value.stats, 20, 64)
+        ((stats, truncated),) = run_trials(cfg, [0])
+        assert truncated
+        assert _check_float_path(stats, 20, 64)
 
     def test_block_draws_equal_scalar_draws(self):
-        # run_batches draws k in doubling blocks; its results equal one
-        # sample_k per batch only because a block of B values is the
+        # run_trials draws k in doubling blocks; its results equal one
+        # scalar draw per batch only because a block of B values is the
         # same as B scalar draws from an identically seeded generator.
         for n in (1, 3, 20, 50, 100):
             for p in (0.0, 0.3, 0.5, 0.8, 1.0):
@@ -178,21 +147,20 @@ class TestRunBatches:
                     scalar = np.random.default_rng([seed, n])
                     for size in (16, 32, 64, 128, 256):
                         drawn = blocks.binomial(n, p, size=size).tolist()
-                        assert drawn == [sample_k(n, p, scalar) for _ in range(size)]
+                        assert drawn == [int(scalar.binomial(n, p)) for _ in range(size)]
 
     def test_results_are_plain_python(self):
         # np.int64 in a field would make `batch --format json` fail
-        configs = [(BatchConfig(n=20, p=0.5, epsilon=e), r)
-                   for e in (0.1, 0.001) for r in range(5)]
-        configs.append((BatchConfig(n=3, p=0.5, epsilon=1e-6), 1))  # truncates
-        for cfg, run in configs:
-            _, stats = _outcome(run_batches, cfg, run)
-            for name in ("m_batches", "l", "n_total"):
-                assert type(getattr(stats, name)) is int, name
-            for name in ("eps_prime", "gamma_log2", "gamma_entropy_bound"):
-                assert type(getattr(stats, name)) is float, name
-            assert type(stats.k_list) is tuple
-            assert all(type(k) is int for k in stats.k_list)
+        walks = [(BatchConfig(n=20, p=0.5, epsilon=e), range(5)) for e in (0.1, 0.001)]
+        walks.append((BatchConfig(n=3, p=0.5, epsilon=1e-6), [1]))  # truncates
+        for cfg, runs in walks:
+            for stats, _ in run_trials(cfg, runs):
+                for name in ("m_batches", "l", "n_total"):
+                    assert type(getattr(stats, name)) is int, name
+                for name in ("eps_prime", "gamma_log2", "gamma_entropy_bound"):
+                    assert type(getattr(stats, name)) is float, name
+                assert type(stats.k_list) is tuple
+                assert all(type(k) is int for k in stats.k_list)
 
     def test_rank_table_walks_both_ways_exactly(self, monkeypatch):
         # later entries roll from the nearest known k, up or down, so
@@ -221,6 +189,9 @@ class TestRunBatches:
             BatchConfig(n=5, p=0.5, epsilon=0.0)
         with pytest.raises(ValueError):
             BatchConfig(n=5, p=0.5, epsilon=1.0)
+        for p in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="probability"):
+                BatchConfig(n=5, p=p, epsilon=0.1)
 
 
 def _check_float_path(stats, n: int, exact_bits: int) -> bool:
@@ -251,8 +222,8 @@ def _check_float_path(stats, n: int, exact_bits: int) -> bool:
 
 
 class TestMatchesReference:
-    """run_batches, and run_trials over many runs, return the same
-    BatchRunStats as the per-batch loop."""
+    """run_trials over a range of runs returns the same outcomes as the
+    per-batch loop, run by run."""
 
     @pytest.mark.parametrize(("n", "p", "epsilon", "runs"), [
         (20, 0.5, 0.1, 2000),
@@ -275,9 +246,7 @@ class TestMatchesReference:
     ])
     def test_default_limits(self, n, p, epsilon, runs):
         cfg = BatchConfig(n=n, p=p, epsilon=epsilon, seed=0xC0FFEE)
-        outcomes = [_outcome(_reference_run_batches, cfg, run) for run in range(runs)]
-        for run in range(runs):
-            assert _outcome(run_batches, cfg, run) == outcomes[run], run
+        outcomes = [_reference_run_batches(cfg, run) for run in range(runs)]
         assert _walked(cfg, range(runs)) == outcomes
         if epsilon == 1e-6:
             assert any(status == "truncated" for status, _ in outcomes)
@@ -295,9 +264,7 @@ class TestMatchesReference:
             monkeypatch.setattr(protocol, "_MAX_BATCHES", max_batches)
         for n, p, epsilon in ((20, 0.5, 0.1), (20, 0.5, 0.001), (7, 0.3, 0.01)):
             cfg = BatchConfig(n=n, p=p, epsilon=epsilon, seed=7)
-            outcomes = [_outcome(_reference_run_batches, cfg, run) for run in range(200)]
-            for run in range(200):
-                assert _outcome(run_batches, cfg, run) == outcomes[run], (n, run)
+            outcomes = [_reference_run_batches(cfg, run) for run in range(200)]
             assert _walked(cfg, range(200)) == outcomes, n
             if max_batches is not None and epsilon == 0.001:
                 assert any(status == "truncated" for status, _ in outcomes)
@@ -310,7 +277,7 @@ class TestMatchesReference:
         monkeypatch.setattr(protocol, "_EXACT_BITS", 21)
         n = 2**21 - 1
         cfg = BatchConfig(n=n, p=2 / n, epsilon=0.001, seed=0xC0FFEE)
-        expected = [_outcome(_reference_run_batches, cfg, run) for run in range(300)]
+        expected = [_reference_run_batches(cfg, run) for run in range(300)]
         assert _walked(cfg, range(300)) == expected
         assert sum(stats.k_list[:1] == (1,) for _, stats in expected) > 10
 
@@ -320,7 +287,7 @@ class TestMatchesReference:
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.001, seed=11)
         order = list(range(100))
         random.Random(chunk).shuffle(order)
-        expected = [_outcome(_reference_run_batches, cfg, run) for run in order]
+        expected = [_reference_run_batches(cfg, run) for run in order]
         assert _walked(cfg, order) == expected
         assert _walked(cfg, iter(order)) == expected  # any iterable, consumed lazily
 
@@ -339,22 +306,18 @@ class TestGenerators:
             assert rng.bit_generator.state == ref.bit_generator.state, i
             assert rng.random(4).tolist() == ref.random(4).tolist(), i
 
-    @pytest.mark.parametrize("size", [1, 15, 16, protocol._CHUNK])  # crossover 16
+    @pytest.mark.parametrize("size", [1, 15, 16, protocol._CHUNK])
     @pytest.mark.parametrize("seed", [0, 0xC0FFEE, 2**200])
-    def test_both_routes_give_the_same_words(self, monkeypatch, seed, size):
-        # one- and two-word run indices, so the bulk hash has both widths
+    def test_both_routes_give_the_same_words(self, seed, size):
+        # the bulk hash and SeedSequence itself agree at every chunk size,
+        # a short last chunk included; one- and two-word run indices, so
+        # the bulk hash has both widths
         indices = [(2**32 + r if r % 3 else r) for r in range(size)]
         want = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64).tolist()
                 for i in indices]
-
-        def words():
-            return [rng.bit_generator.seed_seq.words.tolist()
-                    for rng in protocol._generators(seed, indices)]
-
-        assert words() == want  # the route size picks
-        for threshold in (0, size + 1):  # bulk, then SeedSequence, at this size
-            monkeypatch.setattr(protocol, "_BULK_SEEDING", threshold)
-            assert words() == want, threshold
+        got = [rng.bit_generator.seed_seq.words.tolist()
+               for rng in protocol._generators(seed, indices)]
+        assert got == want
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
     def test_bad_run_index_rejected_before_any_draw(self, monkeypatch, bad):
@@ -366,12 +329,10 @@ class TestGenerators:
         with pytest.raises(ValueError, match="run index") as err:
             list(run_trials(cfg, [0, bad]))
         assert repr(bad) in str(err.value)
-        with pytest.raises(ValueError, match="run index"):
-            run_batches(cfg, bad)
 
     def test_numpy_integer_run_index(self):
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.01)
-        assert run_batches(cfg, np.int64(3)) == run_batches(cfg, 3)
+        assert list(run_trials(cfg, [np.int64(3)])) == list(run_trials(cfg, [3]))
 
 
 def _inversion_walk(u: float, n: int, p: float) -> float:
@@ -426,6 +387,11 @@ class TestSampler:
         for a, b in zip(ours, ref):  # and each stream is left where numpy leaves it
             assert a.bit_generator.state == b.bit_generator.state
         return sampler
+
+    def test_degenerate_probabilities(self):
+        rngs = [np.random.default_rng([1, r]) for r in range(2)]
+        assert (protocol._Sampler(12, 0.0).draw(rngs, 50) == 0).all()
+        assert (protocol._Sampler(12, 1.0).draw(rngs, 50) == 12).all()
 
     @pytest.mark.parametrize(("n", "p"), [
         (20, 0.5), (7, 0.3), (100, 0.2),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refsums import inner_sum
+from triconc import teststate
 from triconc.exactmath import binom, log2_big
 from triconc.teststate import (
     TestStateSpec,
@@ -165,15 +166,23 @@ class TestEntropies:
                 assert -1e-12 <= e_out(spec) <= n + 1e-9
 
 
-def _wht_entropy_reference(count: int, n: int) -> float:
-    """codeword_entropy by a numpy int64 Walsh-Hadamard transform, with
-    numpy's pairwise float sum in place of the ordered one."""
+def _wht(count: int) -> np.ndarray:
+    """The Walsh-Hadamard transform of the indicator of [0, count) on
+    ceil(log2 count) bits, by numpy int64 butterflies."""
     m = (count - 1).bit_length()
     w = np.zeros(1 << m, dtype=np.int64)
     w[:count] = 1
     for a in range(m):
         v = w.reshape(-1, 2, 1 << a)
         w = np.stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]], axis=1).reshape(-1)
+    return w
+
+
+def _wht_entropy_reference(count: int, n: int) -> float:
+    """codeword_entropy by the full transform, with numpy's pairwise float
+    sum in place of the ordered one."""
+    m = (count - 1).bit_length()
+    w = _wht(count)
     p = w[w != 0].astype(np.float64) ** 2 / float(count << m)
     return float(-np.sum(p * np.log2(p))) + (n - m)
 
@@ -192,6 +201,27 @@ class TestCodewordEntropy:
             base = codeword_entropy(count, m)
             for n in sorted({m + 1, m + 2, m + 3, 40}):
                 assert abs(codeword_entropy(count, n) - (base + n - m)) < 1e-12, (count, n)
+
+    def test_walsh_squares_match_the_transform(self):
+        # the closed form gives the transform's nonzero W^2, each as often
+        # as the transform has it, for every count below 3000
+        for count in range(1, 3000):
+            values, mults = np.unique(_wht(count) ** 2, return_counts=True)
+            want = {int(v): int(c) for v, c in zip(values, mults) if v}
+            got: dict[int, int] = {}
+            for mult, square in teststate._walsh_squares(count):
+                got[square] = got.get(square, 0) + mult
+            assert got == want, count
+
+    def test_all_ones_but_one_past_the_transform(self):
+        # count = 2^m - 1: W(0) = count and every other |W(b)| = 1, so the
+        # probabilities are count / 2^m once and 1 / (count 2^m) count
+        # times; m = 100 is far past any 2^m-entry transform
+        for m in (2, 10, 100):
+            count = 2**m - 1
+            expected = (-(count / 2**m) * math.log2(count / 2**m)
+                        + (m + math.log2(count)) / 2**m)
+            assert abs(codeword_entropy(count, m + 5) - (expected + 5)) < 1e-12, m
 
     def test_matches_numpy_transform_past_the_dense_cap(self):
         # n = 11..18 is past the dense oracle's 10 pairs.  Both routes sum
@@ -217,9 +247,6 @@ class TestCodewordEntropy:
         for count, n in ((0, 3), (2**3 + 1, 3)):
             with pytest.raises(ValueError, match="count"):
                 codeword_entropy(count, n)
-        # the transform would have 2^21 entries
-        with pytest.raises(ValueError, match="transform"):
-            codeword_entropy(2**20 + 1, 21)
 
 
 class TestGapScan:
