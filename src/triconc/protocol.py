@@ -8,12 +8,9 @@ batching leaves behind is :func:`triconc.teststate.codeword_entropy`.
 
 The stopping rule is a walk on the circle frac(log2 D_M) that stops on
 entering [0, log2(1+eps)].  run_trials, the one entry point, walks the
-runs of one config together, _CHUNK runs at a time: it draws each run's
-tau counts in blocks, stacks the live runs' blocks into one array,
-follows every walk with a float running sum (one cumsum per block) and
-decides exactly, on the integer D_M, only at the batches where a sum
-comes within a margin of the window (see its docstring for the margin's
-bound).
+runs of one config together, _CHUNK runs at a time, in blocks of draws;
+its docstring says how each block finds every run's switch from the
+exact D_M to floats, then its stop.
 
 Reproducibility: every run derives its stream from (seed, run_index),
 so trials can be evaluated in any order or in parallel with identical
@@ -150,18 +147,22 @@ def run_trials(
     rng.binomial(n, p) per batch; the draws past the stopping batch are
     harmless because no other run reads this stream.  The live runs of a
     chunk share the block schedule, so each block is one (runs, draws)
-    array; looked up in the table of log2_big(C(n, k)), with each run's
-    carried sum added into column 0, its cumsum along the rows is the
-    float running sum s of every run, the same floats as one s += step
-    per batch.  A batch is a candidate only where frac(s) <= log2(1 +
-    epsilon) + delta, and, until the run switches, where frac(s) >= 1 -
-    delta or s >= _EXACT_BITS - delta, near the switch.  Each candidate
-    is decided by the rule above, on D_M rebuilt exactly from the count
-    of each k so far.  At the switch, s is re-anchored to log2_big(D_M)
-    and the rest of the run's row is summed again from there; after it,
-    s is the float log2 D_M itself, and eps_prime is evaluated only where
-    frac(s) <= log2(1 + epsilon) + delta.  The exact C(n, k) and their
-    log2 are computed once per call, for the k actually drawn.
+    array; looked up in the table of log2_big(C(n, k)) (the exact C(n, k)
+    and their log2 are computed once per call, for the k drawn), with
+    each run's carried sum added into column 0, its cumsum along the rows
+    is the float running sum s of every run, the same floats as one s +=
+    step per batch.  Each block then takes two steps.
+
+    1. Switch.  A run not yet switched whose s reaches _EXACT_BITS -
+       delta in the block tests its exact D_M batch by batch from there,
+       and switches at the first batch where D_M outgrows _EXACT_BITS
+       bits.  From that batch on, s is re-anchored to log2_big(D_M) and
+       summed again: the float log2 D_M itself.
+    2. Stop.  A batch is a candidate where frac(s) <= log2(1 + epsilon)
+       + delta, before the run's switch also where frac(s) >= 1 - delta,
+       and at batch _MAX_BATCHES.  Each run's candidates are decided in
+       order by the rule above: before its switch on D_M rebuilt exactly
+       from the count of each k so far, from it on with eps_prime from s.
 
     The draws are numpy's own, got in bulk.  Run i's generator is PCG64
     seeded with the state words of SeedSequence([seed, i]), whose hash
@@ -178,14 +179,18 @@ def run_trials(
     rng.binomial.  A run index that is not an integer >= 0 raises
     ValueError, naming it, before its chunk draws anything.
 
-    delta = 1e-6 is a wide bound on the error of s.  Before the switch,
-    s is only trusted below _EXACT_BITS = 10^4 < 2^14, so each of at most
+    delta = 1e-6 is a wide bound on the error of s.  Before the switch
+    D_M < 2^_EXACT_BITS, so log2 D_M < 10^4 < 2^14 and each of at most
     _MAX_BATCHES = 10^4 adds rounds by at most half an ulp of 2^14
     (1.8e-12), and each term is off by at most an ulp of itself (3.6e-15
-    near log2 C(20, 10) = 17.5); in all below 2e-8.  A batch that is not
-    a candidate thus has frac(log2 D_M) at least delta / 2 inside
-    (log2(1 + epsilon), 1), where eps_prime exceeds epsilon by about
-    (1 + epsilon) delta ln(2) / 2, far more than any rounding.
+    near log2 C(20, 10) = 17.5); in all below 2e-8.  So the switch, where
+    log2 D_M first reaches _EXACT_BITS, lies at or after the first batch
+    with s >= _EXACT_BITS - delta and at or before the first with s >
+    _EXACT_BITS + delta: the search starts at the one and ends by the
+    other.  And a batch that is not a candidate has frac(log2 D_M) at
+    least delta / 2 inside (log2(1 + epsilon), 1), where eps_prime
+    exceeds epsilon by about (1 + epsilon) delta ln(2) / 2, far more than
+    any rounding.
     """
     ranks = _Ranks(cfg.n)
     sampler = _Sampler(cfg.n, cfg.p)
@@ -286,62 +291,54 @@ def _walk(
     drawn, size = 0, _FIRST_BLOCK
     while slots:
         draws = min(size, max_batches - drawn)
-        last = drawn + draws == max_batches  # the last batch is always decided
         block = sampler.draw(rngs, draws)
         ks = np.concatenate((ks, block), axis=1)
         s = ranks.steps(block)
         s[:, 0] += carry
         np.cumsum(s, axis=1, out=s)
+        # 1. switch: each row's first float-decided column (0 once switched,
+        # draws while not), searched on the exact D_M from its first s >=
+        # near_switch; from there s is re-anchored to log2_big(D_M)
+        switch_at = np.where(switched, 0, draws)
+        for r in ((s[:, -1] >= near_switch) & ~switched).nonzero()[0].tolist():
+            j = int((s[r] >= near_switch).argmax())
+            d = ranks.product(ks[r, :drawn + j + 1])
+            while d.bit_length() <= exact_bits and j + 1 < draws:
+                j += 1
+                d *= ranks.exact[int(block[r, j])]
+            if d.bit_length() > exact_bits:
+                switch_at[r] = j
+                tail = ranks.steps(block[r, j:])
+                tail[0] = log2_big(d)
+                s[r, j:] = np.cumsum(tail)
+        # 2. stop: each row's candidates in order, decided on the exact D_M
+        # before its switch and on the float s from there on
         f = s - np.floor(s)  # s % 1.0 exactly, as s >= 0, and much faster
-        # every batch at or past near_switch stays a candidate until its
-        # run switches, and the switch sums the rest of the row again
-        cand = (f <= window) | (((f >= wrap) | (s >= near_switch)) & ~switched[:, None])
+        cand = (f <= window) | ((f >= wrap) & (np.arange(draws) < switch_at[:, None]))
         del f
-        cand[:, -1] |= last
-        keep = np.ones(len(slots), dtype=bool)
-        cand_cols: dict[int, list[int]] = {}  # row -> its candidate columns
+        if drawn + draws == max_batches:
+            cand[:, -1] = True  # the last batch is always decided
+        switch_cols, live = switch_at.tolist(), [True] * len(slots)
         for r, j in zip(*(a.tolist() for a in cand.nonzero())):
-            cand_cols.setdefault(r, []).append(j)
-        for r, cols in cand_cols.items():
-            x = 0
-            while x < len(cols):
-                j = cols[x]
-                x += 1
-                m = drawn + j + 1
-                if switched[r]:
-                    log2_d = float(s[r, j])
-                    l = math.floor(log2_d)
-                    eps_prime = 2.0 ** (log2_d - l) - 1.0
-                else:
-                    d = ranks.product(ks[r, :m])
-                    if d.bit_length() > exact_bits:
-                        # from here on s is the float log2 D_M: re-anchor it
-                        # and sum the rest of the row again, whose
-                        # candidates are now only the window's
-                        switched[r] = True
-                        log2_d = log2_big(d)
-                        tail = ranks.steps(block[r, j:])
-                        tail[0] = log2_d
-                        s[r, j:] = np.cumsum(tail)
-                        rest = s[r, j + 1:]
-                        rest_cand = rest - np.floor(rest) <= window
-                        if last and rest_cand.size:
-                            rest_cand[-1] = True
-                        cols, x = (j + 1 + rest_cand.nonzero()[0]).tolist(), 0
-                        l = math.floor(log2_d)
-                        eps_prime = 2.0 ** (log2_d - l) - 1.0
-                    else:
-                        l = d.bit_length() - 1
-                        eps_prime = (d - (1 << l)) / (1 << l)
-                if eps_prime <= epsilon or m == max_batches:
-                    stats = _stats(m, ks[r, :m].tolist(), l, eps_prime, cfg)
-                    results[slots[r]] = (stats, eps_prime > epsilon)
-                    keep[r] = False
-                    break
-        kept = keep.tolist()
-        slots = [slot for slot, k in zip(slots, kept) if k]
-        rngs = [rng for rng, k in zip(rngs, kept) if k]
-        ks, carry, switched = ks[keep], s[keep, -1], switched[keep]
+            if not live[r]:
+                continue
+            m = drawn + j + 1
+            if j < switch_cols[r]:
+                d = ranks.product(ks[r, :m])
+                l = d.bit_length() - 1
+                eps_prime = (d - (1 << l)) / (1 << l)
+            else:
+                log2_d = float(s[r, j])
+                l = math.floor(log2_d)
+                eps_prime = 2.0 ** (log2_d - l) - 1.0
+            if eps_prime <= epsilon or m == max_batches:
+                stats = _stats(m, ks[r, :m].tolist(), l, eps_prime, cfg)
+                results[slots[r]] = (stats, eps_prime > epsilon)
+                live[r] = False
+        keep = np.array(live, dtype=bool)
+        slots = [slot for slot, k in zip(slots, live) if k]
+        rngs = [rng for rng, k in zip(rngs, live) if k]
+        ks, carry, switched = ks[keep], s[keep, -1], (switch_at < draws)[keep]
         drawn += draws
         size *= 2
     return results

@@ -310,6 +310,9 @@ class TestBatch:
     @pytest.mark.parametrize(("args", "sha256"), [
         ("--epsilon 0.001 --trials 200",
          "087a90ea53a3092e52278e802aaf5ac766f8ba190777e1275eedfc31c8003996"),
+        # 849 of the 2000 runs pass the 10 000-bit switch to floats
+        ("--epsilon 0.001 --trials 2000",
+         "598c4a434bc33f553184b43ee47b2a6d29dee24e98c1c12836f5888ba3031e55"),
         ("--n 50 --p 0.8 --epsilon 0.001 --trials 100",
          "e8aa0b4ef30223fd41d6594e477cee55be318b6b6f9619e429f22f258d5fdc2b"),
         # three of the five trials truncate at 10 000 batches
@@ -327,7 +330,7 @@ class TestBatch:
     ])
     def test_pinned_bytes(self, tmp_path, args, sha256):
         # sha256 of the datasets drawn with Generator.binomial itself: the
-        # first three by the per-batch loop that the block walk replaced
+        # first four by the per-batch loop that the block walk replaced
         # (one scalar draw and one exact product per batch), the others by
         # the block walk before its draws were decoded from Generator.random
         code, text = run_cli(["batch", *args.split()], tmp_path)

@@ -221,6 +221,41 @@ def _check_float_path(stats, n: int, exact_bits: int) -> bool:
     return True
 
 
+def _block_of(m: int) -> int:
+    """Index of the block of draws that batch m (from 1) falls in."""
+    return ((m - 1) // protocol._FIRST_BLOCK + 1).bit_length() - 1
+
+
+def _switch_and_stop_orders(cfg: BatchConfig, run: int, stats) -> set[str]:
+    """How run's stop and its switch to floats fall: at one batch, or the
+    stop before the switch but in a block where the walk searched for it;
+    and whether the run's log2 D_M sat within delta below _EXACT_BITS for
+    two or more batches before the switch.  From its stream drawn on past
+    the stop."""
+    exact_bits, delta = protocol._EXACT_BITS, protocol._DELTA
+    rng = np.random.default_rng([cfg.seed, run])
+    ks = rng.binomial(cfg.n, cfg.p, size=protocol._MAX_BATCHES).tolist()
+    assert tuple(ks[:stats.m_batches]) == stats.k_list
+    d, near, lingering = 1, None, 0  # near: the first batch the search tests
+    for switch, k in enumerate(ks, 1):
+        d *= binom(cfg.n, k)
+        if log2_big(d) >= exact_bits - delta:
+            near = near or switch
+        if d.bit_length() > exact_bits:
+            break
+        lingering += near is not None
+    else:
+        return set()  # never switches
+    stop, orders = stats.m_batches, set()
+    if stop == switch:
+        orders.add("stops at its switch")
+    if stop < switch and _block_of(stop) >= _block_of(near):
+        orders.add("stops in its search block, before it")
+    if lingering >= 2:
+        orders.add("lingers below the limit")
+    return orders
+
+
 class TestMatchesReference:
     """run_trials over a range of runs returns the same outcomes as the
     per-batch loop, run by run."""
@@ -280,6 +315,25 @@ class TestMatchesReference:
         expected = [_reference_run_batches(cfg, run) for run in range(300)]
         assert _walked(cfg, range(300)) == expected
         assert sum(stats.k_list[:1] == (1,) for _, stats in expected) > 10
+        # and some sit there for two or more batches before they switch
+        assert any("lingers below the limit" in _switch_and_stop_orders(cfg, run, stats)
+                   for run, (_, stats) in enumerate(expected))
+
+    @pytest.mark.parametrize(("exact_bits", "epsilon", "runs", "orders"), [
+        (64, 0.1, 200, {"stops at its switch", "stops in its search block, before it"}),
+        (None, 0.001, 150, {"stops in its search block, before it"}),
+    ])
+    def test_switch_and_stop_orders(self, monkeypatch, exact_bits, epsilon, runs, orders):
+        # the walk finds each run's switch before its stop, and the search
+        # for the switch runs on in its block past the stop
+        if exact_bits is not None:
+            monkeypatch.setattr(protocol, "_EXACT_BITS", exact_bits)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=epsilon, seed=1)
+        expected = [_reference_run_batches(cfg, run) for run in range(runs)]
+        assert _walked(cfg, range(runs)) == expected
+        seen = set().union(*(_switch_and_stop_orders(cfg, run, stats)
+                             for run, (_, stats) in enumerate(expected)))
+        assert orders <= seen
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_results_do_not_depend_on_chunking_or_run_order(self, monkeypatch, chunk):
