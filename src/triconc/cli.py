@@ -25,17 +25,22 @@ Importing this module loads no numpy: fig2 and fig3 are exact integer
 arithmetic and never touch it.  oracle-check imports the dense oracle,
 and batch and eof import numpy, only when they run.  protocol and eof
 are still imported here, at module level, so that tools which wrap the
-package's functions after importing this module find them loaded.
+package's functions after importing this module find them loaded.  Nor
+does it load dataclasses (and its inspect), json or fractions (and its
+decimal), which no command needs to start: the package's records are
+named tuples, json loads with the first JSON document, and fractions
+with the first Fraction built (an inferred fig2 or fig3 grid step,
+AmplitudeTable.xi_sq and .normalization()).  A record copies with
+_replace and converts with _asdict, in place of dataclasses.replace and
+asdict, and equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
-from fractions import Fraction
 
 from . import eof as eof_mod
 from . import protocol, teststate
@@ -62,6 +67,8 @@ def _json(doc: object) -> str:
     batch table; joining them _JSON_JOIN at a time gives the same text
     from a fraction of that peak.
     """
+    import json  # here: CSV, the default of every table, needs none
+
     tokens = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(doc)
     parts = []
     while part := "".join(itertools.islice(tokens, _JSON_JOIN)):
@@ -115,6 +122,8 @@ def _grid(p: float, n_max: int, step: int | None = None) -> range:
         raise UsageError(f"probability out of [0, 1]: {p}")
     source = "--step"
     if step is None:
+        from fractions import Fraction  # here: an explicit --step needs none
+
         step, source = Fraction(p).limit_denominator(10**6).denominator, "inferred step"
     if step < 1:
         raise UsageError(f"--step must be >= 1, got {step}")

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._records import record
 from .exactmath import shannon_h
 
 if TYPE_CHECKING:
@@ -41,27 +41,27 @@ def _yy() -> np.ndarray:
     return np.kron(pauli_y, pauli_y)
 
 
-@dataclass(frozen=True)
-class EofLedger:
+class EofLedger(record("EofLedger", "p ef_in_per_copy ef_out_per_copy "
+                                   "locking_deficit_per_copy s_a_per_copy s_b_per_copy")):
     """Per-copy bookkeeping at mixing weight p."""
 
-    p: float
-    ef_in_per_copy: float
-    ef_out_per_copy: float
-    locking_deficit_per_copy: float
-    s_a_per_copy: float
-    s_b_per_copy: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, p: float, ef_in_per_copy: float, ef_out_per_copy: float,
+                locking_deficit_per_copy: float, s_a_per_copy: float,
+                s_b_per_copy: float) -> EofLedger:
+        self = super().__new__(cls, p, ef_in_per_copy, ef_out_per_copy,
+                               locking_deficit_per_copy, s_a_per_copy, s_b_per_copy)
         for name in ("ef_in_per_copy", "ef_out_per_copy", "s_a_per_copy",
                      "s_b_per_copy"):
             v = getattr(self, name)
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise ValueError(f"{name} out of [0, 1]: {v}")
-        if not -1.0 - 1e-12 <= self.locking_deficit_per_copy <= 1.0 + 1e-12:
+        if not -1.0 - 1e-12 <= locking_deficit_per_copy <= 1.0 + 1e-12:
             raise ValueError(
-                f"locking deficit out of [-1, 1]: {self.locking_deficit_per_copy}"
+                f"locking deficit out of [-1, 1]: {locking_deficit_per_copy}"
             )
+        return self
 
 
 def rp_reduced_bc(p: float) -> np.ndarray:

@@ -32,10 +32,9 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._records import integer, record
 from .exactmath import binom, log2_big
 
 if TYPE_CHECKING:
@@ -64,43 +63,37 @@ _FIRST_BLOCK = 16
 _CHUNK = 64
 
 
-@dataclass(frozen=True)
-class BatchConfig:
+class BatchConfig(record("BatchConfig", "n p epsilon seed")):
     """Parameters of one batching run."""
 
-    n: int
-    p: float
-    epsilon: float
-    seed: int = 0xC0FFEE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"probability out of [0, 1]: {self.p}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"need 0 < epsilon < 1, got {self.epsilon}")
-        if self.seed < 0:
-            raise ValueError(f"need seed >= 0, got {self.seed}")
+    def __new__(cls, n: int, p: float, epsilon: float,
+                seed: int = 0xC0FFEE) -> BatchConfig:
+        n, seed = integer("n", n), integer("seed", seed)
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability out of [0, 1]: {p}")
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"need 0 < epsilon < 1, got {epsilon}")
+        if seed < 0:
+            raise ValueError(f"need seed >= 0, got {seed}")
+        return super().__new__(cls, n, p, epsilon, seed)
 
 
-@dataclass(frozen=True)
-class BatchRunStats:
+class BatchRunStats(record("BatchRunStats", "m_batches k_list l eps_prime gamma_log2 "
+                                           "n_total gamma_entropy_bound")):
     """Outcome of one batching run.
 
-    gamma_log2 is log2 of the accumulated rank product D_M = 2^l (1 +
-    eps_prime); n_total is the number of copies consumed (batches times
-    batch size); gamma_entropy_bound is the residual-state bound
-    2 (epsilon * n_total + 2).
+    m_batches batches were measured, with the tau counts k_list (a tuple
+    of ints); gamma_log2 is log2 of the accumulated rank product D_M =
+    2^l (1 + eps_prime), l an int; n_total is the number of copies
+    consumed (batches times batch size); gamma_entropy_bound is the
+    residual-state bound 2 (epsilon * n_total + 2).
     """
 
-    m_batches: int
-    k_list: tuple[int, ...]
-    l: int
-    eps_prime: float
-    gamma_log2: float
-    n_total: int
-    gamma_entropy_bound: float
+    __slots__ = ()
 
 
 def _stats(
@@ -535,9 +528,16 @@ class _Sampler:
 
 
 def _fma(a: float, b: float, c: float, fused: bool) -> float:
-    """a * b + c rounded once if fused, else rounded after each op."""
+    """a * b + c rounded once if fused, else rounded after each op.
+
+    Fused, it is the exact sum of the floats' integer ratios, whose
+    denominators are powers of two, as one int / int true division: that
+    rounds once, correctly, as float(Fraction(a) * Fraction(b) +
+    Fraction(c)) would."""
     if fused:
-        return float(Fraction(a) * Fraction(b) + Fraction(c))
+        (an, ad), (bn, bd), (cn, cd) = (
+            a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio())
+        return (an * bn * cd + cn * ad * bd) / (ad * bd * cd)
     return a * b + c
 
 

@@ -31,9 +31,9 @@ strings moves no entanglement, so it needs no closed form here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
+from ._records import integer, record
 from .exactmath import (
     binom,
     binomial_row,
@@ -42,6 +42,9 @@ from .exactmath import (
     log2_big,
     ordered_sum,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "TestStateSpec",
@@ -60,24 +63,22 @@ __all__ = [
 _INTEGRALITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TestStateSpec:
+class TestStateSpec(record("TestStateSpec", "n k")):
     """n Bell-encoded pairs, k of them in the second-kind state."""
 
+    __slots__ = ()
     __test__ = False  # not a pytest class, despite the name
 
-    n: int
-    k: int
+    def __new__(cls, n: int, k: int) -> TestStateSpec:
+        n, k = integer("n", n), integer("k", k)
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+        return super().__new__(cls, n, k)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if not (0 <= self.k <= self.n):
-            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 
-
-@dataclass(frozen=True)
-class AmplitudeTable:
+class AmplitudeTable(record("AmplitudeTable", "n k s")):
     """Exact amplitude data of a Bell-encoded test state.
 
     s[i] is the signed integer inner sum for weight i, and s[0] = C(n, k).
@@ -86,12 +87,12 @@ class AmplitudeTable:
     sum over all weights is exactly 1, and entropy() is the B|C entropy.
     """
 
-    n: int
-    k: int
-    s: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def xi_sq(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction  # here: importing the module loads none
+
         denom = (1 << self.n) * self.s[0]
         return tuple(Fraction(v * v, denom) for v in self.s)
 
@@ -99,6 +100,8 @@ class AmplitudeTable:
         """Exact value of sum_i C(n, i) * xi_sq[i]; equals 1 by construction.
 
         Computed as one integer sum of C(n, i) s[i]^2, reduced once."""
+        from fractions import Fraction
+
         total = sum(c * v * v for c, v in zip(binomial_row(self.n), self.s))
         return Fraction(total, (1 << self.n) * self.s[0])
 
@@ -161,24 +164,20 @@ def _walsh_squares(count: int) -> list[tuple[int, int]]:
     return squares
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(record("EntanglementReport", "n k e_in e_out")):
     """Input/output entanglement (ebits) of one (n, k) configuration."""
 
-    n: int
-    k: int
-    e_in: float
-    e_out: float
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, e_in: float, e_out: float) -> EntanglementReport:
+        for name, value in (("e_in", e_in), ("e_out", e_out)):
+            if not -1e-9 <= value <= n + 1e-9:
+                raise ValueError(f"{name} out of [0, n]: {value} at n={n}")
+        return super().__new__(cls, n, k, e_in, e_out)
 
     @property
     def gap(self) -> float:
         return self.e_in - self.e_out
-
-    def __post_init__(self) -> None:
-        if not (-1e-9 <= self.e_in <= self.n + 1e-9):
-            raise ValueError(f"e_in out of [0, n]: {self.e_in} at n={self.n}")
-        if not (-1e-9 <= self.e_out <= self.n + 1e-9):
-            raise ValueError(f"e_out out of [0, n]: {self.e_out} at n={self.n}")
 
 
 def amplitude_table(spec: TestStateSpec) -> AmplitudeTable:

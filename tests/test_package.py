@@ -1,5 +1,6 @@
 """The import surface: every exported name resolves and has one home,
-and the exact path (fig2, fig3) runs without numpy."""
+the exact path (fig2, fig3) runs without numpy, and the records keep
+their contract as named tuples."""
 
 import importlib
 import os
@@ -10,6 +11,9 @@ import types
 import pytest
 
 import triconc
+from triconc.eof import EofLedger
+from triconc.protocol import BatchConfig, BatchRunStats
+from triconc.teststate import AmplitudeTable, EntanglementReport, TestStateSpec
 
 MODULES = ("exactmath", "teststate", "oracle", "protocol", "eof")
 
@@ -84,9 +88,52 @@ def test_cli_import_loads_no_numpy():
         "import sys, triconc.cli\n"
         "triconc.cli._build_parser()\n"
         "print(*(m in sys.modules for m in sys.argv[1:]))",
-        "numpy", "triconc.oracle", "triconc.protocol", "triconc.eof")
+        "numpy", "triconc.oracle", "triconc.protocol", "triconc.eof",
+        # no command needs these to start: records are named tuples, and
+        # json and fractions load where a document or a Fraction is made
+        "dataclasses", "inspect", "json", "fractions", "decimal")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"False", b"False", b"True", b"True"]
+    assert proc.stdout.split() == [b"False", b"False", b"True", b"True",
+                                   b"False", b"False", b"False", b"False", b"False"]
+
+
+#: One record of each kind built with keywords, the plain tuple of its
+#: fields, and a field value its constructor rejects (None: it checks none).
+RECORDS = [
+    (TestStateSpec(n=4, k=1), (4, 1), {"n": 0}),
+    (AmplitudeTable(n=1, k=0, s=(1, 1)), (1, 0, (1, 1)), None),
+    (EntanglementReport(n=2, k=1, e_in=1.5, e_out=1.0), (2, 1, 1.5, 1.0),
+     {"e_in": 3.0}),
+    (BatchConfig(n=20, p=0.5, epsilon=0.1), (20, 0.5, 0.1, 0xC0FFEE),
+     {"seed": 1.5}),
+    (BatchRunStats(m_batches=1, k_list=(10,), l=17, eps_prime=0.4,
+                   gamma_log2=17.5, n_total=20, gamma_entropy_bound=8.0),
+     (1, (10,), 17, 0.4, 17.5, 20, 8.0), None),
+    (EofLedger(p=0.5, ef_in_per_copy=1.0, ef_out_per_copy=0.0,
+               locking_deficit_per_copy=1.0, s_a_per_copy=1.0, s_b_per_copy=1.0),
+     (0.5, 1.0, 0.0, 1.0, 1.0, 1.0), {"s_b_per_copy": 2.0}),
+]
+
+
+@pytest.mark.parametrize(("record", "fields", "bad"), RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_record_contract(record, fields, bad):
+    cls = type(record)
+    assert record == fields  # defaults included: BatchConfig's seed
+    copy = cls(*fields)
+    assert copy == record and hash(copy) == hash(record)
+    assert record._replace() == record and cls._make(fields) == record
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    shown = ", ".join(f"{k}={v!r}" for k, v in record._asdict().items())
+    assert repr(record) == f"{cls.__name__}({shown})"
+    if bad is not None:  # every construction path checks, copies too
+        with pytest.raises(ValueError) as built:
+            cls(**{**record._asdict(), **bad})
+        with pytest.raises(ValueError) as copied:
+            record._replace(**bad)
+        assert str(copied.value) == str(built.value)
 
 
 def test_package_import_loads_no_submodule():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +193,13 @@ class TestRunBatches:
         for p in (-0.1, 1.5):
             with pytest.raises(ValueError, match="probability"):
                 BatchConfig(n=5, p=p, epsilon=0.1)
+        # n and seed must be integers, stored as plain ints
+        with pytest.raises(ValueError, match="n must be an integer"):
+            BatchConfig(n=20.0, p=0.5, epsilon=0.1)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BatchConfig(n=20, p=0.5, epsilon=0.1, seed=1.5)
+        cfg = BatchConfig(n=np.int64(20), p=0.5, epsilon=0.1, seed=np.uint32(7))
+        assert cfg == (20, 0.5, 0.1, 7) and type(cfg.n) is type(cfg.seed) is int
 
 
 def _check_float_path(stats, n: int, exact_bits: int) -> bool:
@@ -424,6 +432,24 @@ def _pcg64_state_before(output: int, ahead: int, inc: int) -> int:
     for _ in range(ahead + 1):
         state = (state - inc) * inverse % 2**128
     return state
+
+
+def test_fused_multiply_add_rounds_once():
+    # _fma(a, b, c, fused=True) against exact rationals rounded once
+    rng = random.Random(24)
+    triples = [tuple(rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-60, 60)
+                     for _ in range(3)) for _ in range(5000)]
+    # the inputs _Sampler's bound takes, over its tested configs
+    for n, p in [(20, 0.5), (7, 0.3), (100, 0.2), (20, 0.95), (120, 0.7501),
+                 (20, 0.05), (1000, 0.01), (10**6, 3e-5), (1, 0.3), (150, 0.072)]:
+        p_inv = min(p, 1.0 - p)
+        q, mean = 1.0 - p_inv, n * p_inv
+        triples.append((mean, q, 1.0))
+        for fa in (False, True):
+            triples.append((10.0, math.sqrt(protocol._fma(mean, q, 1.0, fa)), mean))
+    for a, b, c in triples:
+        exact = float(Fraction(a) * Fraction(b) + Fraction(c))
+        assert protocol._fma(a, b, c, True) == exact, (a, b, c)
 
 
 class TestSampler:

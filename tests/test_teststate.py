@@ -49,6 +49,13 @@ class TestSpecValidation:
             TestStateSpec(n=3, k=4)
         with pytest.raises(ValueError):
             TestStateSpec(n=3, k=-1)
+        # a count must be an integer, stored as a plain int
+        with pytest.raises(ValueError, match="n must be an integer"):
+            TestStateSpec(4.0, 2)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            TestStateSpec(4, 2.0)
+        spec = TestStateSpec(np.int64(4), np.int64(2))
+        assert spec == (4, 2) and type(spec.n) is type(spec.k) is int
 
 
 class TestAmplitudeTable:
