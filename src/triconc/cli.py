@@ -29,8 +29,9 @@ package's functions after importing this module find them loaded.  Nor
 does it load dataclasses (and its inspect), json or fractions (and its
 decimal), which no command needs to start: the package's records are
 named tuples, json loads with the first JSON document, and fractions
-with the first Fraction built (an inferred fig2 or fig3 grid step,
-AmplitudeTable.xi_sq and .normalization()).  A record copies with
+with the first Fraction built (AmplitudeTable.xi_sq and
+.normalization()); no command builds one, an inferred fig2 or fig3
+grid step included.  A record copies with
 _replace and converts with _asdict, in place of dataclasses.replace and
 asdict, and equals the plain tuple of its fields.
 """
@@ -122,14 +123,33 @@ def _grid(p: float, n_max: int, step: int | None = None) -> range:
         raise UsageError(f"probability out of [0, 1]: {p}")
     source = "--step"
     if step is None:
-        from fractions import Fraction  # here: an explicit --step needs none
-
-        step, source = Fraction(p).limit_denominator(10**6).denominator, "inferred step"
+        step, source = _denominator(p, 10**6), "inferred step"
     if step < 1:
         raise UsageError(f"--step must be >= 1, got {step}")
     if abs(step * p - round(step * p)) > 1e-9:
         raise UsageError(f"p = {p} with {source} {step}: step*p = {step * p} is not an integer")
     return range(step, n_max + 1, step)
+
+
+def _denominator(x: float, limit: int) -> int:
+    """Fraction(x).limit_denominator(limit).denominator, for x >= 0,
+    without the fractions module.
+
+    limit_denominator's walk: the continued fraction of x's integer
+    ratio n/d until the next convergent's denominator passes limit, then
+    the nearer of the last convergent q1 and the semiconvergent q0 +
+    k q1 with the largest denominator at most limit, q1 when they tie.
+    x lies between the two, 1 / (q1 (q0 + k q1)) apart, and r / (q1 d)
+    from the convergent, r the remainder left by the walk, so the
+    convergent is the nearer when 2 r (q0 + k q1) <= d."""
+    num, den = x.as_integer_ratio()
+    if den <= limit:
+        return den
+    q0, q1, n, r = 1, 0, num, den
+    while q0 + (a := n // r) * q1 <= limit:
+        q0, q1, n, r = q1, q0 + a * q1, r, n - a * r
+    k = (limit - q0) // q1
+    return q1 if 2 * r * (q0 + k * q1) <= den else q0 + k * q1
 
 
 def _parse_p_list(text: str) -> list[float]:

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,37 @@ class TestFig2:
         assert len(rows) == 100
         slope, _, _ = fit_line([(float(r[0]), float(r[4])) for r in rows])
         assert abs(slope - 0.466) <= 0.01
+
+
+#: Every p the tests, the README and CI give fig2 or fig3 without --step,
+#: then 0, 1 and 1/3, then floats whose denominator is near 10^6.
+GRID_PS = [0.5, 0.8, 0.2, 0.3, 0.1, 0.25, 0.75, 0.3333333433, 1e-7,
+           0.0, 1.0, 1 / 3,
+           *(k / d for d in (999_983, 999_999, 10**6, 10**6 + 1, 10**6 + 3)
+             for k in (1, 2, 3, 499_999, 999_982)),
+           1e-6, 1 - 1e-6, 0.5 + 1e-6, 0.5 + 5e-7, 0.5 + 4.99e-7, 5e-7]
+
+
+class TestInferredStep:
+    """The inferred grid step is Fraction(p).limit_denominator(10**6)'s
+    denominator, found without the fractions module."""
+
+    @pytest.mark.parametrize("p", GRID_PS)
+    def test_listed_p(self, p):
+        assert cli._denominator(p, 10**6) == Fraction(p).limit_denominator(10**6).denominator
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 5, 10, 37])
+    def test_ties_at_small_limits(self, limit):
+        # x = j / 256 often lies midway between the two candidates, where
+        # limit_denominator takes the convergent
+        for j in range(257):
+            want = Fraction(j, 256).limit_denominator(limit).denominator
+            assert cli._denominator(j / 256, limit) == want, j
+
+    @settings(max_examples=2000, deadline=None)
+    @given(p=st.floats(0.0, 1.0))
+    def test_any_p(self, p):
+        assert cli._denominator(p, 10**6) == Fraction(p).limit_denominator(10**6).denominator
 
 
 class TestFig3:

@@ -97,6 +97,22 @@ def test_cli_import_loads_no_numpy():
                                    b"False", b"False", b"False", b"False", b"False"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig3", "--p-list", "0.5,0.8", "--n-max", "100"],
+    ["fig2", "--p", "0.8", "--n-max", "100"],
+])
+def test_inferred_step_loads_no_fractions(argv, tmp_path):
+    # the grid step is a continued fraction over p.as_integer_ratio()
+    proc = _python(
+        "import sys\nfrom triconc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules)",
+        *argv, "--out", str(tmp_path / "out.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0", b"False", b"False"]
+    assert (tmp_path / "out.csv").stat().st_size > 0
+
+
 #: One record of each kind built with keywords, the plain tuple of its
 #: fields, and a field value its constructor rejects (None: it checks none).
 RECORDS = [

@@ -4,8 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triconc import protocol
 from triconc.exactmath import binom, log2_big
@@ -343,6 +347,51 @@ class TestMatchesReference:
                              for run, (_, stats) in enumerate(expected)))
         assert orders <= seen
 
+    @pytest.mark.parametrize(("bracket_bits", "short_row", "exact_path"), [
+        (58, None, "always"),    # every Horner bracket too wide to decide
+        (58, 0, "always"),       # every bracket Horner, and too wide
+        (70, None, "sometimes"),
+        (None, 0, "never"),      # every bracket Horner, at the default width
+        (None, protocol._MAX_BATCHES, "never"),  # every bracket exact
+    ])
+    def test_bracket_and_exact_fallback(self, monkeypatch, bracket_bits, short_row,
+                                        exact_path):
+        # the walk decides from the bracket of D_M where it can and on the
+        # exact product where it cannot, with the reference's outcomes
+        # either way
+        if bracket_bits is not None:
+            monkeypatch.setattr(protocol, "_BRACKET_BITS", bracket_bits)
+        if short_row is not None:
+            monkeypatch.setattr(protocol, "_SHORT_ROW", short_row)
+        horner, exact = [], []
+        bracket, product = protocol._Ranks.bracket, protocol._Ranks.product
+
+        def counted_bracket(self, ks):
+            horner.append(ks.size > protocol._SHORT_ROW)
+            return bracket(self, ks)
+
+        def counted_product(self, ks):
+            exact.append(ks.size)
+            return product(self, ks)
+
+        monkeypatch.setattr(protocol._Ranks, "bracket", counted_bracket)
+        monkeypatch.setattr(protocol._Ranks, "product", counted_product)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=0.001, seed=1)
+        expected = [_reference_run_batches(cfg, run) for run in range(300)]
+        assert _walked(cfg, range(300)) == expected
+        if short_row == 0:
+            assert all(horner)
+        elif short_row == protocol._MAX_BATCHES:
+            assert not any(horner)
+        else:
+            assert any(horner) and not all(horner)
+        if exact_path == "always":
+            assert len(exact) == sum(horner)
+        elif exact_path == "sometimes":
+            assert 0 < len(exact) < sum(horner)
+        else:
+            assert exact == []
+
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_results_do_not_depend_on_chunking_or_run_order(self, monkeypatch, chunk):
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
@@ -352,6 +401,52 @@ class TestMatchesReference:
         expected = [_reference_run_batches(cfg, run) for run in order]
         assert _walked(cfg, order) == expected
         assert _walked(cfg, iter(order)) == expected  # any iterable, consumed lazily
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 60), size=st.integers(1, 10_000), p=st.floats(0.0, 1.0),
+       ends_only=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_bracket_holds_the_product(n, size, p, ends_only, seed):
+    # lo 2^e <= D <= hi 2^e, exact on the short-row path and under 2^-110
+    # relative wide on the Horner path; rows of k in {0, n} only have D = 1
+    rng = np.random.default_rng(seed)
+    ks = rng.binomial(n, p, size=size)
+    if ends_only:
+        ks = np.where(ks < n / 2, 0, n)
+    ranks = protocol._Ranks(n)
+    ranks.steps(ks)
+    d = protocol._power_product(ranks.exact, Counter(ks.tolist()))
+    lo, hi, e = ranks.bracket(ks)
+    assert lo << e <= d <= hi << e
+    assert (hi - lo) << 110 < lo
+    if size <= protocol._SHORT_ROW:
+        assert (lo, hi, e) == (d, d, 0)
+    if ends_only:
+        assert d == 1 and (lo, hi, e) == (1, 1, 0)
+
+
+def test_open_brackets_decide_nothing():
+    # a bracket decides only what both of its ends give; the same ends as
+    # an exact (d, d, 0) decide it
+    exact, later = {3: 7}, np.array([3])
+    top = 2**64
+    # across a power of two: l, and the bit length against _EXACT_BITS
+    assert protocol._stop_point(top - 1, top + 1, 0) is None
+    assert protocol._switch_point(top - 1, top + 1, 0, later, exact, 64) is None
+    assert protocol._switch_point(top - 1, top + 1, 0, later[:0], exact, 64) is None
+    assert protocol._stop_point(top + 1, top + 1, 0) == (64, 2.0**-64)
+    assert protocol._switch_point(top - 1, top - 1, 0, later, exact, 64) == (
+        1, log2_big(7 * (top - 1)))
+    # one l, and eps_prime = 1/2 + 2^-44 or 1/2 at the ends, or 1/2 at
+    # both once rounded; 2^e scales D_M, not eps_prime
+    half = top + top // 2
+    assert protocol._stop_point(half, half + 2**20, 0) is None
+    assert protocol._stop_point(half, half + 1, 36) == (100, 0.5)
+    # one bit length past the limit, but the leading 54 bits differ
+    assert protocol._switch_point(top, top + 2**20, 0, later, exact, 60) is None
+    assert protocol._switch_point(top, top + 2**8, 36, later, exact, 60) == (0, 100.0)
+    # no switch in what is left of the block
+    assert protocol._switch_point(top, top + 2**8, 0, later, exact, 100) == (1, None)
 
 
 class TestGenerators:
