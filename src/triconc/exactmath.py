@@ -3,8 +3,8 @@
 Everything downstream leans on five guarantees made here:
 
 * binomial coefficients are arbitrary-precision integers, never floats;
-  a loop over all weights takes the whole row C(n, 0..n) from one
-  rolling product (binomial_row) instead of one binom call per weight;
+  a loop over all weights takes C(n, 0..n) from one rolling product
+  (half_binomial_row, binomial_row) instead of one binom call per weight;
 * the alternating binomial sums that carry the test-state amplitudes are
   evaluated in exact integer arithmetic, because they cancel massively
   (for n of a few hundred the terms dwarf the result by hundreds of
@@ -13,9 +13,11 @@ Everything downstream leans on five guarantees made here:
   fits a float exactly, so it stays accurate to ~1e-15 absolute no
   matter how many thousands of bits the integer has;
 * each weight of an entropy (entropy_terms) is the exact int ratio,
-  rounded once; it is decided from the leading bits of its integers
-  when they settle it, and from the full product otherwise, so the
-  floats are the same either way.
+  rounded once, and each log2 that of log2_big; both are decided from
+  the leading bits of their integers when those settle them, and from
+  the full integers otherwise, so the floats are the same either way.
+  The entropy takes the square roots of its weights (the S_i), and
+  squares none of them where its leading bits settle its term.
 """
 
 from __future__ import annotations
@@ -24,24 +26,23 @@ import math
 
 __all__ = [
     "binom",
+    "half_binomial_row",
     "binomial_row",
     "log2_big",
     "shannon_h",
     "ordered_sum",
     "entropy_terms",
+    "half_inner_sums",
     "inner_sum_table",
 ]
 
-#: Leading bits of mult, w and count from which entropy_terms brackets a
-#: weight before it falls back to the exact ratio.
+#: Leading bits of mult, root and count from which entropy_terms brackets
+#: a term before it falls back to the exact one.
 _TOP_BITS = 64
 
-#: Products mult * w narrower than this many bits skip the bracket: the
-#: exact ratio is the cheaper below about 1000 bits (Python 3.11, x86_64).
+#: Products mult * root^2 narrower than this many bits skip the bracket:
+#: the exact ratio is the cheaper below about 1000 bits (Python 3.11).
 _MIN_BRACKET_BITS = 1024
-
-#: The smallest normal float, 2^-1022.
-_MIN_NORMAL = 2.0 ** -1022
 
 
 def binom(n: int, k: int) -> int:
@@ -53,20 +54,22 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def binomial_row(n: int) -> list[int]:
-    """The exact row [C(n, 0), ..., C(n, n)].
-
-    Built with the rolling product C(n, i+1) = C(n, i) (n - i) / (i + 1),
-    whose divisions are exact, up to i = n // 2; the rest is the mirror
-    C(n, n - i) = C(n, i).
-    """
-    if n < 0:
-        raise ValueError(f"binomial_row requires n >= 0, got {n}")
-    head = [1]
+def half_binomial_row(n: int):
+    """C(n, 0), ..., C(n, n // 2), one at a time, from the rolling product
+    C(n, i+1) = C(n, i) (n - i) / (i + 1), whose divisions are exact."""
     c = 1
+    yield c
     for i in range(n // 2):
         c = c * (n - i) // (i + 1)
-        head.append(c)
+        yield c
+
+
+def binomial_row(n: int) -> list[int]:
+    """The exact row [C(n, 0), ..., C(n, n)]: half_binomial_row up to
+    i = n // 2, and the mirror C(n, n - i) = C(n, i) above it."""
+    if n < 0:
+        raise ValueError(f"binomial_row requires n >= 0, got {n}")
+    head = list(half_binomial_row(n))
     return head + head[:(n + 1) // 2][::-1]
 
 
@@ -110,96 +113,120 @@ def ordered_sum(values) -> float:
 
 
 def entropy_terms(terms, count: int, shift: int) -> list[float]:
-    """-mult * (w/T) * log2(w/T), in bits, for each integer (mult, w)
-    pair of terms with w > 0 and T = count << shift, as a list.
+    """-mult * (w/T) * log2(w/T), in bits, for each integer (mult, root)
+    pair of terms, with w = root^2 and T = count << shift, as a list; a
+    zero root gives 0.0.  Each weight mult*w/T is the exact int ratio
+    rounded once and each log2(w/T) is log2_big(w) - shift -
+    log2_big(count), so weights below float underflow still count.
 
-    Each weight mult*w/T is the exact int ratio rounded once, and each
-    log2(w/T) is log2_big(w) - shift - log2_big(count), so weights below
-    float underflow still count.
-
-    The weight is decided from the top bits where they settle it.  With
-    m, v and c the leading _TOP_BITS bits of mult, w and count (the
-    lower bits cut off, and a, b, g bits cut), the exact ratio lies
-    between L = m*v / (c+1) and U = (m+1)*(v+1) / c times 2^(a+b-g-shift)
-    (an operand that is not cut enters both bounds as itself).  Python's
-    int / int rounds each of L and U correctly, and rounding is monotone,
-    so when the two give the same float and that float, scaled, is a
-    normal float, it is the correctly rounded exact ratio: above 2^-1022
-    the scaling by a power of two is exact and commutes with rounding.
-    When mult and w have at most T.bit_length() - 1076 bits between them,
-    the ratio is below 2^-1075, half the smallest subnormal, and rounds
-    to 0.0.
-    Otherwise (where a rounding boundary falls between L and U, under two
-    bracketed terms in a thousand for the test states, and every other
-    subnormal or zero weight) the weight is the exact (mult * w) / T, as
-    it is whenever the product mult * w is narrower than
-    _MIN_BRACKET_BITS bits, where the exact ratio is the cheaper."""
+    A term is decided from leading bits where they settle it.  With m
+    and s the leading _TOP_BITS bits of mult and |root| (a and e bits
+    cut), and 1/count within [r_lo, r_hi] 2^-(g+p) (r = 2^p over the
+    leading bits of count, g bits cut), the weight lies between
+    m*s^2*r_lo and (m+1)*(s+1)^2*r_hi times 2^(a+2e-g-p-shift); a mult
+    not cut enters both as itself, a root not cut as s and s+1 all the
+    same (too loose to settle much below 2^60, and no such root of a
+    test state reaches the bracket).  float() of an int rounds correctly
+    and monotonically, so where both ends give one float that, scaled,
+    is above 2^-1022 (where scaling is exact), it is the correctly
+    rounded weight.  log2_big(w) reads the leading 54 bits of w, which
+    are those of s^2 where s^2 and (s+1)^2 share them and their bit
+    length.  Where mult and w have at most T.bit_length() - 1076 bits
+    between them the weight is below 2^-1075 and rounds to 0.0.
+    Otherwise (a rounding boundary between the ends, a few terms in a
+    thousand for the test states, or a subnormal weight) the root is
+    squared, and the weight is the exact (mult * w) / T, as it is
+    wherever mult * w is narrower than _MIN_BRACKET_BITS, there the
+    cheaper."""
     total_w = count << shift
     log2_total = shift + log2_big(count)
-    top, min_bits, min_normal = _TOP_BITS, _MIN_BRACKET_BITS, _MIN_NORMAL
-    g = max(count.bit_length() - top, 0)
+    top, min_bits, min_normal = _TOP_BITS, _MIN_BRACKET_BITS, 2.0**-1022
+    log2, ldexp = math.log2, math.ldexp
+    # 1 / count lies in [r_lo, r_hi] * 2^-(g + p)
+    g, p = max(count.bit_length() - top, 0), 2 * top
     c_lo = count >> g
-    c_hi = c_lo + 1 if g else c_lo
+    r_lo, r_hi = (1 << p) // (c_lo + 1 if g else c_lo), -((-1 << p) // c_lo)
+    scale = g + p + shift
     zero_bits = total_w.bit_length() - 1076
     out = []
-    for mult, w in terms:
-        mb, wb = mult.bit_length(), w.bit_length()
-        if mb + wb < min_bits:
+    append = out.append
+    for mult, root in terms:
+        if not root:
+            append(0.0)
+            continue
+        mb, rb = mult.bit_length(), root.bit_length()
+        bits = mb + 2 * rb  # mult * root^2 has at most this many
+        if bits < min_bits:
+            w = root * root
             weight = (mult * w) / total_w
-        elif mb + wb <= zero_bits:
-            weight = 0.0
+        elif bits <= zero_bits:
+            append(0.0)
+            continue
         else:
-            a, b = mb - top, wb - top
-            if a > 0:
-                m_lo = mult >> a
-                m_hi = m_lo + 1
+            # mult in [m_lo, m_hi] 2^a, |root| in [s, s + 1] 2^e, root^2 in
+            # [v_lo, v_hi] 2^b (s = ~(root >> e) when root < 0)
+            a = mb - top if mb > top else 0
+            e = rb - top if rb > top else 0
+            m_lo, s = mult >> a, root >> e
+            m_hi = m_lo + 1 if a else m_lo
+            if s < 0:
+                s = ~s
+            b, v_lo, v_hi = 2 * e, s * s, (s + 1) * (s + 1)
+            lo = float(m_lo * v_lo * r_lo)
+            weight = ldexp(lo, a + b - scale) if lo == float(m_hi * v_hi * r_hi) else 0.0
+            if weight > min_normal:
+                t = v_hi.bit_length() - 54
+                if t >= 0 and v_lo >> t == (top54 := v_hi >> t):
+                    append(-(weight * (t + b + log2(top54) - log2_total)))
+                    continue
+                w = root * root
             else:
-                a, m_lo, m_hi = 0, mult, mult
-            if b > 0:
-                v_lo = w >> b
-                v_hi = v_lo + 1
-            else:
-                b, v_lo, v_hi = 0, w, w
-            lo = m_lo * v_lo / c_hi
-            weight = math.ldexp(lo, a + b - g - shift) if lo == m_hi * v_hi / c_lo else 0.0
-            if not weight > min_normal:
+                w = root * root
                 weight = (mult * w) / total_w
-        out.append(-(weight * (log2_big(w) - log2_total)))
+        if not weight:  # -(0.0 * log2(w/T)), with w/T < 1
+            append(0.0)
+            continue
+        t = w.bit_length() - 54
+        append(-(weight * ((t + log2(w >> t) if t > 0 else log2(w)) - log2_total)))
     return out
 
 
-def inner_sum_table(n: int, k: int) -> list[int]:
-    """All inner sums S_0 .. S_n for fixed (n, k), in O(n) integer steps.
+def half_inner_sums(n: int, k: int):
+    """S_0, ..., S_{n // 2} for fixed (n, k), one at a time, in O(n)
+    integer steps.
 
     Uses the three-term recurrence in the weight index,
 
         (n - i) * S_{i+1} = (n - 2k) * S_i - i * S_{i-1},
 
-    whose divisions are exact in integer arithmetic, with S_i the signed
-    amplitude sum of the weight-i Schmidt class,
+    whose divisions are exact in integer arithmetic, each checked, with
+    S_i the signed amplitude sum of the weight-i Schmidt class,
 
         S_i = sum_x (-1)^x * C(n-i, k-x) * C(i, x),
 
     so that a weight-i string of the (n, k) test state has squared
     amplitude S_i**2 / (2**n * C(n, k)).  Summing that definition for
     each i (the test suite's reference, which it cross-checks against
-    this table) takes O(n^2) terms; the recurrence takes O(n), which is
-    what makes dense scans up to n = 500 cheap.
-
-    The recurrence runs only up to S_{n//2}, each step checked for an
-    exact division; the upper half is the mirror S_{n-i} = (-1)^k S_i
-    (the Krawtchouk symmetry K_k(n - x) = (-1)^k K_k(x)), as in
-    binomial_row.
+    this recurrence) takes O(n^2) terms; the recurrence takes O(n), which
+    is what makes dense scans up to n = 500 cheap.
     """
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    s = [0] * (n // 2 + 1)
-    s[0] = math.comb(n, k)
+    prev, cur, d = 0, math.comb(n, k), n - 2 * k
+    yield cur
     for i in range(n // 2):  # at i = 0 the S_{i-1} term has coefficient 0
-        num = (n - 2 * k) * s[i] - i * s[i - 1]
-        q, r = divmod(num, n - i)
+        q, r = divmod(d * cur - i * prev, n - i)
         if r:
             raise ArithmeticError(f"inexact recurrence step at (n={n}, k={k}, i={i})")
-        s[i + 1] = q
+        prev, cur = cur, q
+        yield q
+
+
+def inner_sum_table(n: int, k: int) -> list[int]:
+    """All inner sums S_0 .. S_n for fixed (n, k): half_inner_sums up to
+    S_{n//2}, and above it the mirror S_{n-i} = (-1)^k S_i (the
+    Krawtchouk symmetry K_k(n - x) = (-1)^k K_k(x)), as in binomial_row.
+    """
+    s = list(half_inner_sums(n, k))
     mirror = s[:(n + 1) // 2][::-1]
     return s + ([-v for v in mirror] if k & 1 else mirror)

@@ -402,11 +402,12 @@ def _walk(
 def _stop_point(lo: int, hi: int, e: int) -> tuple[int, float] | None:
     """(l, eps_prime) of D_M from lo 2^e <= D_M <= hi 2^e, or None where
     the bracket leaves either open: l when lo and hi have one bit length,
-    eps_prime when both ends give the same float."""
+    eps_prime when both ends give the same float.  An exact bracket (lo
+    == hi, every short row) settles both from lo alone."""
     l = lo.bit_length() - 1
     one = 1 << l
     eps_prime = (lo - one) / one
-    if hi.bit_length() - 1 != l or (hi - one) / one != eps_prime:
+    if hi != lo and (hi.bit_length() - 1 != l or (hi - one) / one != eps_prime):
         return None
     return l + e, eps_prime
 

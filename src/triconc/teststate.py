@@ -13,15 +13,17 @@ squared Schmidt coefficient of a weight-i string is
 with S_i the exact alternating sum from :mod:`triconc.exactmath`.  An
 :class:`AmplitudeTable` stores only the integers S_i (S_0 = C(n, k)) and
 derives the rationals, the normalization and the entropy from them,
-taking every C(n, i) from one binomial row.  The entropy computes its
-per-weight term once for each mirror pair (i, n - i), since
+taking every C(n, i) from one rolling product.  The entropy computes
+its per-weight term once for each mirror pair (i, n - i), since
 S_{n-i} = (-1)^k S_i, and adds the terms in weight order.  The
-input entanglement is the entropy of that spectrum; the output
-entanglement after the compression relabeling is n - log2 C(n, k) in
-the power-of-two idealization.  :func:`codeword_entropy` gives it
-exactly for the lexicographic codebook at any C(n, k), and for the
-residual state that batching (:mod:`triconc.protocol`) leaves, in O(log2
-C(n, k)) terms by the same per-term values and ordered sum.  Slope fits
+input entanglement is the entropy of that spectrum, which e_in takes
+in one pass over the recurrence, holding no table and squaring no wide
+S_i; the output entanglement after the compression relabeling is
+n - log2 C(n, k) in the power-of-two idealization.
+:func:`codeword_entropy` gives it exactly for the lexicographic
+codebook at any C(n, k), and for the residual state that batching
+(:mod:`triconc.protocol`) leaves, in O(log2 C(n, k)) terms by the same
+per-term values and ordered sum.  Slope fits
 of the gap are plain ``(slope, intercept, rms_residual)`` tuples.  The
 product encoding |00>/|11>, the reversible control, is a dense-oracle
 matter (:class:`triconc.oracle.PairEncoding`): relabeling orthogonal
@@ -31,6 +33,7 @@ strings moves no entanglement, so it needs no closed form here.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from ._records import integer, record
@@ -38,6 +41,8 @@ from .exactmath import (
     binom,
     binomial_row,
     entropy_terms,
+    half_binomial_row,
+    half_inner_sums,
     inner_sum_table,
     log2_big,
     ordered_sum,
@@ -106,20 +111,27 @@ class AmplitudeTable(record("AmplitudeTable", "n k s")):
         return Fraction(total, (1 << self.n) * self.s[0])
 
     def entropy(self) -> float:
-        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits, from the integers.
+        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits, from the integers."""
+        return _spectrum_entropy(self.n, self.s)
 
-        C(n, n - i) = C(n, i) and S_{n-i} = (-1)^k S_i (the Krawtchouk
-        symmetry K_k(n - x) = (-1)^k K_k(x)), so weights i and n - i give
-        the same term: each term is computed once, for i <= n // 2, and
-        the terms are added in weight order 0..n."""
-        n, s = self.n, self.s
-        row = binomial_row(n)
-        half = [i for i in range(n // 2 + 1) if s[i]]
-        terms = entropy_terms(((row[i], s[i] * s[i]) for i in half), s[0], n)
-        # weights above n / 2 repeat those below it in reverse order; an even
-        # n's middle weight n / 2 is its own mirror
-        mirrored = terms[:-1] if 2 * half[-1] == n else terms
-        return ordered_sum(terms + mirrored[::-1])
+
+def _spectrum_entropy(n: int, roots) -> float:
+    """The test-state entropy from S_0 = C(n, k), S_1, ..., S_{n//2}, the
+    leading items of roots, in one pass: each C(n, i) comes from the
+    rolling half_binomial_row as the loop reaches weight i.
+
+    C(n, n - i) = C(n, i) and S_{n-i} = (-1)^k S_i (the Krawtchouk
+    symmetry K_k(n - x) = (-1)^k K_k(x)), so weights i and n - i give
+    the same term: each term is computed once, for i <= n // 2, and the
+    terms are added in weight order 0..n.  A zero S_i gives the term
+    0.0, which leaves the ordered sum as it was."""
+    roots = iter(roots)
+    count = next(roots)
+    terms = entropy_terms(zip(half_binomial_row(n), chain((count,), roots)), count, n)
+    # weights above n / 2 repeat those below it in reverse order; an even
+    # n's middle weight n / 2 is its own mirror
+    mirrored = terms if n & 1 else terms[:-1]
+    return ordered_sum(terms + mirrored[::-1])
 
 
 def codeword_entropy(count: int, n: int) -> float:
@@ -129,19 +141,19 @@ def codeword_entropy(count: int, n: int) -> float:
     batching state.  It is diagonal with amplitude W(b) / sqrt(2^m count)
     on the m leading pairs, W the Walsh-Hadamard transform of the
     indicator of {0, ..., count-1} (Parseval: sum_b W(b)^2 = 2^m count);
-    each of the n - m theta pairs adds one ebit.  W^2 takes at most m + 1
-    values (:func:`_walsh_squares`), so the entropy is O(m) terms for any
+    each of the n - m theta pairs adds one ebit.  |W| takes at most m + 1
+    values (:func:`_walsh_roots`), so the entropy is O(m) terms for any
     count.  Integers throughout, up to the final logarithm."""
     m = (count - 1).bit_length()
     if count < 1 or m > n:  # 1 <= count <= 2^n without building 2^n
         raise ValueError(f"need 1 <= count <= 2^{n}, got {count}")
-    return ordered_sum(entropy_terms(_walsh_squares(count), count, m)) + (n - m)
+    return ordered_sum(entropy_terms(_walsh_roots(count), count, m)) + (n - m)
 
 
-def _walsh_squares(count: int) -> list[tuple[int, int]]:
-    """(multiplicity, W(b)^2) for the nonzero W^2 of the Walsh-Hadamard
+def _walsh_roots(count: int) -> list[tuple[int, int]]:
+    """(multiplicity, |W(b)|) for the nonzero |W| of the Walsh-Hadamard
     transform W(b) = sum_{x < count} (-1)^popcount(x & b) on m = ceil(log2
-    count) bits: W(0)^2 = count^2 once, then for each t < m the 2^(m-1-t)
+    count) bits: W(0) = count once, then for each t < m the 2^(m-1-t)
     values of b with t trailing zeros.
 
     [0, count) is a union of dyadic blocks, one per set bit j of count:
@@ -155,13 +167,13 @@ def _walsh_squares(count: int) -> list[tuple[int, int]]:
     bit t of count is 0 and 2^t - r when it is 1, whatever b's bits above
     t are."""
     m = (count - 1).bit_length()
-    squares = [(1, count * count)]
+    roots = [(1, count)]
     for t in range(m):
         r = count & ((1 << t) - 1)
         w = (1 << t) - r if count >> t & 1 else r
         if w:
-            squares.append((1 << (m - 1 - t), w * w))
-    return squares
+            roots.append((1 << (m - 1 - t), w))
+    return roots
 
 
 class EntanglementReport(record("EntanglementReport", "n k e_in e_out")):
@@ -187,8 +199,9 @@ def amplitude_table(spec: TestStateSpec) -> AmplitudeTable:
 
 def e_in(spec: TestStateSpec) -> float:
     """Entanglement (ebits) of the test state across the B|C cut: the
-    entropy of its xi^2 spectrum."""
-    return amplitude_table(spec).entropy()
+    entropy of its xi^2 spectrum, as AmplitudeTable.entropy gives it, in
+    one pass over the recurrence that holds no table."""
+    return _spectrum_entropy(spec.n, half_inner_sums(spec.n, spec.k))
 
 
 def e_out(spec: TestStateSpec) -> float:

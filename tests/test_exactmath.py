@@ -9,6 +9,7 @@ ordered_sum against a compensated sum that would round differently.
 
 import math
 import random
+from collections import Counter
 from decimal import Decimal, getcontext
 
 import pytest
@@ -64,35 +65,69 @@ def _mirror_holds(n, k, upper=None):
 
 
 def _exact_terms(terms, count, shift):
-    """The per-term entropy with every weight the exact int ratio
-    (mult * w) / T rounded once, as hex strings (bit for bit, signed
-    zeros apart)."""
+    """The per-term entropy by the squaring path: every root squared, and
+    every weight the exact int ratio (mult * w) / T rounded once, as hex
+    strings (bit for bit, signed zeros apart); a zero root gives 0.0."""
     total_w = count << shift
     log2_total = shift + log2_big(count)
-    return [(-((mult * w) / total_w * (log2_big(w) - log2_total))).hex()
-            for mult, w in terms]
+    out = []
+    for mult, root in terms:
+        w = root * root
+        out.append((-((mult * w) / total_w * (log2_big(w) - log2_total))).hex()
+                   if w else (0.0).hex())
+    return out
 
 
 def _test_state_terms(n, k):
-    """entropy_terms' input for the (n, k) test state: (C(n, i), S_i^2)
-    for the nonzero S_i with i <= n // 2, and count C(n, k), shift n."""
+    """entropy_terms' input for the (n, k) test state: (C(n, i), S_i) for
+    i <= n // 2, and count C(n, k), shift n."""
     s = inner_sum_table(n, k)
     row = binomial_row(n)
-    return [(row[i], s[i] * s[i]) for i in range(n // 2 + 1) if s[i]], s[0], n
+    return list(zip(row, s[:n // 2 + 1])), s[0], n
 
 
-class _CountedInt(int):
-    """An int that counts the products it takes part in: the exact weight
-    (mult * w) / T multiplies the full mult, the bracket only its top bits
-    (mult >> a, a plain int)."""
+class _Root(int):
+    """A root that records how entropy_terms used it: squared (root * root,
+    a _Square) and, if so, whether that square entered the exact ratio
+    (mult * w).  A wide root cut to its leading bits is neither."""
 
-    products = 0
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.squared = self.ratio = False
+        return self
 
     def __mul__(self, other):
-        _CountedInt.products += 1
-        return int(self) * other
+        self.squared = True
+        square = _Square(int(self) * int(other))
+        square.root = self
+        return square
 
     __rmul__ = __mul__
+
+
+class _Square(int):
+    def __mul__(self, other):
+        self.root.ratio = True
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _branches(tracked):
+    """Counts of the paths the _Root entries of tracked (mult, root) pairs
+    took: "cut" decided from the leading bits alone, "log2" squared only
+    for log2_big, "weight" squared for the exact ratio."""
+    roots = [r for _, r in tracked if isinstance(r, _Root)]
+    return Counter("weight" if r.ratio else "log2" if r.squared else "cut" for r in roots)
+
+
+def _track_wide(terms):
+    """terms with every root that entropy_terms brackets and cuts (wider
+    than _TOP_BITS, and its term at least _MIN_BRACKET_BITS wide) a _Root."""
+    top, min_bits = exactmath._TOP_BITS, exactmath._MIN_BRACKET_BITS
+    return [(m, _Root(r) if r.bit_length() > top
+             and m.bit_length() + 2 * r.bit_length() >= min_bits else r)
+            for m, r in terms]
 
 
 @st.composite
@@ -323,51 +358,69 @@ class TestExactEntropy:
         ln2 = Decimal(2).ln()
         expected = -sum(m * Decimal(w) / 24 * (Decimal(w) / 24).ln() / ln2
                         for m, w in ((2, 9), (6, 1)))
-        got = ordered_sum(entropy_terms([(2, 9), (6, 1)], 3, 3))
+        got = ordered_sum(entropy_terms([(2, 3), (6, 1)], 3, 3))
         assert abs(got - float(expected)) < 1e-15
+        assert entropy_terms([(2, -3), (5, 0), (6, 1)], 3, 3) == entropy_terms(
+            [(2, 3), (6, 1)], 3, 3)[:1] + [0.0] + entropy_terms([(6, 1)], 3, 3)
 
     def test_total_past_float_range(self):
         # T = 2^1100 overflows a float, and w/T = 2^-1100 underflows one
         assert ordered_sum(entropy_terms([(1 << 1100, 1)], 1, 1100)) == 1100.0
-        half = [(1, 1 << 1099), (1 << 1099, 1)]  # 1/2 + 2^1099 * 2^-1100
-        assert abs(ordered_sum(entropy_terms(half, 1, 1100)) - (1 + 1100) / 2) < 1e-12
+        half = [(2, 1 << 549), (1 << 1099, 1)]  # 2 * 2^-2 + 2^1099 * 2^-1100
+        assert abs(ordered_sum(entropy_terms(half, 1, 1100)) - (1 + 1100 / 2)) < 1e-12
 
     def test_bit_identical_to_exact_weights_every_k_below_n120(self, monkeypatch):
-        # every weight is bracketed here, however narrow its integers
+        # every term is bracketed here, however narrow its integers, and
+        # every root wider than _TOP_BITS is cut, never squared up front: at
+        # 64 bits the weight and log2 brackets straddle about once in 600
+        # cut roots each, at 56 bits on most of them
         monkeypatch.setattr(exactmath, "_MIN_BRACKET_BITS", 0)
-        for n in range(1, 120):
-            for k in range(n + 1):
-                terms, count, shift = _test_state_terms(n, k)
-                got = [t.hex() for t in entropy_terms(terms, count, shift)]
-                assert got == _exact_terms(terms, count, shift), (n, k)
+        for top in (64, 56):
+            monkeypatch.setattr(exactmath, "_TOP_BITS", top)
+            branches = Counter()
+            for n in range(1, 120):
+                for k in range(n + 1):
+                    terms, count, shift = _test_state_terms(n, k)
+                    tracked = _track_wide(terms)
+                    got = [t.hex() for t in entropy_terms(tracked, count, shift)]
+                    assert got == _exact_terms(terms, count, shift), (n, k, top)
+                    branches += _branches(tracked)
+            assert min(branches["cut"], branches["log2"], branches["weight"]) > 0, branches
+            assert (branches["cut"] < branches["log2"] + branches["weight"]) == (top == 56)
 
     def test_bit_identical_to_exact_weights_sampled_to_n3000(self):
         rng = random.Random(20261019)
         cases = [(3000, 1500), (3000, 2400), (2999, 1)]
         cases += [(n, rng.randrange(n + 1))
                   for n in (rng.randrange(120, 3001) for _ in range(25))]
+        branches = Counter()
         for n, k in cases:
             terms, count, shift = _test_state_terms(n, k)
-            got = [t.hex() for t in entropy_terms(terms, count, shift)]
+            tracked = _track_wide(terms)
+            got = [t.hex() for t in entropy_terms(tracked, count, shift)]
             assert got == _exact_terms(terms, count, shift), (n, k)
+            branches += _branches(tracked)
+        # the wide roots of these states: most are never squared, and the
+        # zero and subnormal weights of the widest ones are among them
+        assert branches["cut"] > 20 * (branches["log2"] + branches["weight"]), branches
+        assert branches["log2"] + branches["weight"] > 0, branches
 
     def test_narrow_bracket_falls_back_to_the_exact_ratio(self, monkeypatch):
         # 8 leading bits bracket a weight to ~1e-2, never to one float:
         # every term takes the exact product, and still matches
         n, k = 1000, 350
         terms, count, shift = _test_state_terms(n, k)
-        terms = [(_CountedInt(m), w) for m, w in terms if m.bit_length() > 64]
-        assert all(m.bit_length() + w.bit_length() >= exactmath._MIN_BRACKET_BITS
-                   for m, w in terms)
+        terms = [(m, r) for m, r in terms if m.bit_length() > 64 and r]
+        assert all(m.bit_length() + 2 * r.bit_length() >= exactmath._MIN_BRACKET_BITS
+                   and r.bit_length() > exactmath._TOP_BITS for m, r in terms)
         want = _exact_terms(terms, count, shift)
-        _CountedInt.products = 0
-        got = [t.hex() for t in entropy_terms(terms, count, shift)]
-        bracketed = len(terms) - _CountedInt.products
-        assert got == want and bracketed > 0.9 * len(terms)
-        monkeypatch.setattr(exactmath, "_TOP_BITS", 8)
-        _CountedInt.products = 0
-        got = [t.hex() for t in entropy_terms(terms, count, shift)]
-        assert got == want and _CountedInt.products == len(terms)
+        for top in (64, 8):
+            monkeypatch.setattr(exactmath, "_TOP_BITS", top)
+            tracked = _track_wide(terms)
+            got = [t.hex() for t in entropy_terms(tracked, count, shift)]
+            exact = sum(r.ratio for _, r in tracked)
+            assert got == want and (exact < 0.1 * len(terms) if top == 64
+                                    else exact == len(terms))
 
     def test_subnormal_and_underflowing_weights(self):
         # wide operands whose weight is near or below 2^-1022: the bracket
@@ -376,28 +429,44 @@ class TestExactEntropy:
         count, shift = 3 ** 700 + 1, 1400
         terms = []
         for e in (-1020, -1022, -1023, -1030, -1060, -1074, -1075, -1076, -1200):
-            mult = rng.getrandbits(600) | 1 << 599
+            mult = rng.getrandbits(400) | 1 << 399
             target = (count << shift) >> -e  # T * 2^e
-            terms.append((mult, target // mult + rng.getrandbits(40)))
-        # weight 2.5 * 2^-1074 + 2^-1400 rounds up to 3 * 2^-1074; rounded
-        # to 53 bits first, it would be the tie 2.5 * 2^-1074 and go to 2
-        terms.append((count, (5 << shift - 1075) + 1))
-        assert all(m.bit_length() + w.bit_length() >= exactmath._MIN_BRACKET_BITS
-                   for m, w in terms)
-        got = [t.hex() for t in entropy_terms(terms, count, shift)]
+            terms.append((mult, math.isqrt(target // mult) + rng.getrandbits(20)))
+        tracked = _track_wide(terms)
+        assert all(isinstance(r, _Root) for _, r in tracked)
+        got = [t.hex() for t in entropy_terms(tracked, count, shift)]
         assert got == _exact_terms(terms, count, shift)
-        weights = [(m * w) / (count << shift) for m, w in terms]
-        assert weights[-1] == 3 * 2.0 ** -1074
+        weights = [(m * r * r) / (count << shift) for m, r in terms]
         assert 0.0 < min(x for x in weights if x) < 2.0 ** -1022 and 0.0 in weights
         assert max(weights) >= 2.0 ** -1022
+        # normal weights come from the cut roots, nonzero subnormal ones
+        # from the exact ratio, and that of -1200, which the bit lengths
+        # alone rule out, from neither
+        for (_, r), weight in zip(tracked, weights):
+            if weight > 2.0 ** -1022:
+                assert not r.squared
+            elif weight:
+                assert r.ratio
+        assert not tracked[-1][1].squared
+        # weight 2.5 * 2^-1074 + 2^-1075 / count rounds up to 3 * 2^-1074;
+        # rounded to 53 bits first, it would be the tie 2.5 * 2^-1074 and go
+        # to 2.  The root 2^400 is cut, and then squared for the exact ratio
+        tie = [(5 * count + 1, _Root(1 << 400))]
+        got = [t.hex() for t in entropy_terms(tie, count, 2 * 400 + 1075)]
+        assert got == _exact_terms(tie, count, 2 * 400 + 1075)
+        assert (tie[0][0] << 800) / (count << 2 * 400 + 1075) == 3 * 2.0 ** -1074
+        assert tie[0][1].ratio
 
     def test_weights_at_the_underflow_edge(self):
         # T = 2^3000: operands of 1925 bits in all make a weight under
         # 2^-1075, which rounds to 0.0; at 1926 bits it can round up to the
         # smallest subnormal; 2^-1075 itself is a tie and rounds to 0.0
-        top = (1 << 963) - 1
-        terms = [(top, top >> 1), (top, top), (1 << 962, 1 << 963)]
-        assert [m.bit_length() + w.bit_length() for m, w in terms] == [1925, 1926, 1927]
-        got = [t.hex() for t in entropy_terms(terms, 1, 3000)]
+        terms = [((1 << 963) - 1, (1 << 481) - 1), ((1 << 962) - 1, (1 << 482) - 1),
+                 (1 << 963, 1 << 481)]
+        assert [m.bit_length() + (r * r).bit_length() for m, r in terms] == [1925, 1926, 1927]
+        tracked = _track_wide(terms)
+        got = [t.hex() for t in entropy_terms(tracked, 1, 3000)]
         assert got == _exact_terms(terms, 1, 3000)
-        assert [(m * w) / (1 << 3000) for m, w in terms] == [0.0, 2.0 ** -1074, 0.0]
+        assert [(m * r * r) / (1 << 3000) for m, r in terms] == [0.0, 2.0 ** -1074, 0.0]
+        # the first is 0.0 by its bit lengths, the others by the exact ratio
+        assert [r.squared for _, r in tracked] == [False, True, True]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refsums import inner_sum
+from refsums import inner_sum, squaring_entropy
 from triconc import teststate
 from triconc.exactmath import binom, log2_big
 from triconc.teststate import (
@@ -165,6 +165,28 @@ class TestEntropies:
         assert sum(1 for v in table.s if v == 0) == 1000
         assert table.entropy() == _entropy_reference(table)
 
+    def test_squaring_reference_is_the_exact_sum(self):
+        # tests/refsums.py's squaring route, the reference below, against
+        # the exact ratio at every weight
+        configs = [(n, k) for n in range(1, 41) for k in range(n + 1)]
+        configs += [(1200, 600), (1201, 300), (1500, 1499)]
+        for n, k in configs:
+            assert squaring_entropy(n, k) == _entropy_reference(
+                amplitude_table(TestStateSpec(n, k))), (n, k)
+
+    def test_e_in_bit_identical_to_squaring_sampled_to_n20000(self):
+        # most S_i here are wide, cut to their leading bits and never
+        # squared; the squaring route squares every one of them.  e_in
+        # runs the recurrence without a table, AmplitudeTable.entropy from
+        # the stored one
+        rng = random.Random(20000)
+        cases = [(20000, 16000), (12345, 6173)]
+        cases += [(n, rng.randrange(n + 1)) for n in sorted(rng.sample(range(3000, 10001), 4))]
+        for n, k in cases:
+            assert e_in(TestStateSpec(n, k)) == squaring_entropy(n, k), (n, k)
+        spec = TestStateSpec(*cases[1])
+        assert amplitude_table(spec).entropy() == e_in(spec)
+
     def test_bounds(self):
         for n in range(1, 61, 7):
             for k in range(0, n + 1, 3):
@@ -210,14 +232,14 @@ class TestCodewordEntropy:
                 assert abs(codeword_entropy(count, n) - (base + n - m)) < 1e-12, (count, n)
 
     def test_walsh_squares_match_the_transform(self):
-        # the closed form gives the transform's nonzero W^2, each as often
+        # the closed form gives the transform's nonzero |W|, each as often
         # as the transform has it, for every count below 3000
         for count in range(1, 3000):
             values, mults = np.unique(_wht(count) ** 2, return_counts=True)
             want = {int(v): int(c) for v, c in zip(values, mults) if v}
             got: dict[int, int] = {}
-            for mult, square in teststate._walsh_squares(count):
-                got[square] = got.get(square, 0) + mult
+            for mult, root in teststate._walsh_roots(count):
+                got[root * root] = got.get(root * root, 0) + mult
             assert got == want, count
 
     def test_all_ones_but_one_past_the_transform(self):
