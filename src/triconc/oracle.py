@@ -11,7 +11,9 @@ the B|C cut wants.
 The module knows nothing about closed forms: it builds permutation test
 states explicitly, takes Schmidt spectra (as plain arrays of
 probabilities) block by block, from the Gram matrix of each block that
-the nonzero pattern of the B|C matrix splits it into, applies the
+the nonzero pattern of the B|C matrix splits it into (for a pattern with
+at most one nonzero per row and column, as every stock-encoded state
+has, straight off the squared entries), applies the
 compression relabeling as an explicit change of basis, and simulates
 one-sided circuits (tuples of :class:`Gate`) gate by gate: each gate's
 2x2 (or, for CNOT, 4x4) matrix is contracted with the qubit axes it acts
@@ -260,35 +262,11 @@ def _grouped(label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, start, size
 
 
-def schmidt_spectrum(state: PureStateVector) -> np.ndarray:
-    """Schmidt probabilities across B|C: the eigenvalues of the reduced
-    density matrix rho_B = M M^dagger above 1e-14, in descending order
-    (float64), taken block by block.
-
-    The nonzero pattern of M is a bipartite graph of rows and columns;
-    its connected components split M, up to a permutation of rows and of
-    columns, into blocks B_b on the diagonal, so rho_B is the direct sum
-    of the Gram matrices B_b B_b^dagger.  Each block contributes the
-    eigenvalues of its smaller Gram matrix (B_b^dagger B_b when it is the
-    smaller one; both share their nonzero eigenvalues), and blocks of
-    equal shape go through one stacked ``eigvalsh`` call.  A generic
-    dense state is one block and is used without a copy; a state in
-    span{|00>, |11>} per pair, as every stock-encoded state is, has a
-    diagonal M and 1x1 blocks.
-
-    Each Gram matrix is Hermitian with trace |B_b|_F^2 <= 1, so by Weyl's
-    bound each eigenvalue is off by at most the rounding in forming it
-    plus the Hermitian solver's backward error, both O(d_b eps) for a
-    block of side d_b (the longer of its two); d_b <= d = 2^n, so no
-    probability is less accurate than from the full rho_B.  Squaring a
-    block's condition number costs digits in its singular values, not in
-    these probabilities.
-    """
-    if not abs(state.norm() - 1.0) <= 1e-10:  # NaN fails too
-        raise ValueError(f"state is not normalized: |amps| = {state.norm()}")
-    m = state.as_matrix()
+def _block_eigenvalues(m: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    # The Gram eigenvalues of every block of m, nz its nonzero pattern,
+    # unsorted: blocks of equal shape go through one stacked eigvalsh.
     d = m.shape[0]
-    row_label, col_label = _block_labels(m != 0)
+    row_label, col_label = _block_labels(nz)
     # Every block has a row and a column, so both sides list the same labels.
     rows, row_start, height = _grouped(row_label)
     cols, col_start, width = _grouped(col_label)
@@ -303,7 +281,53 @@ def schmidt_spectrum(state: PureStateVector) -> np.ndarray:
             blocks = m[r[:, :, None], c[:, None, :]]
         adj = blocks.conj().swapaxes(1, 2)  # for real blocks, a view of them
         parts.append(np.linalg.eigvalsh(blocks @ adj if h <= w else adj @ blocks).ravel())
-    probs = np.sort(np.concatenate(parts))[::-1]
+    return np.concatenate(parts)
+
+
+def schmidt_spectrum(state: PureStateVector) -> np.ndarray:
+    """Schmidt probabilities across B|C: the eigenvalues of the reduced
+    density matrix rho_B = M M^dagger above 1e-14, in descending order
+    (float64), taken block by block.
+
+    The nonzero pattern of M is a bipartite graph of rows and columns;
+    its connected components split M, up to a permutation of rows and of
+    columns, into blocks B_b on the diagonal, so rho_B is the direct sum
+    of the Gram matrices B_b B_b^dagger.  Each block contributes the
+    eigenvalues of its smaller Gram matrix (B_b^dagger B_b when it is the
+    smaller one; both share their nonzero eigenvalues), and blocks of
+    equal shape go through one stacked ``eigvalsh`` call.  A generic
+    dense state is one block and is used without a copy.
+
+    A monomial M (a permuted diagonal: at most one nonzero in every row
+    and every column, i.e. as many nonzero entries as nonzero rows and as
+    nonzero columns) has only 1x1 blocks, and its probabilities are read
+    off the entries as v conj(v), with no block labels and no
+    ``eigvalsh``.  A state in span{|00>, |11>} per pair has a diagonal M,
+    so every state the stock encodings build (test states, relabeled
+    images, codeword superpositions) is monomial.  The floats are the
+    block route's: a 1x1 Gram matrix holds the rounded product v conj(v),
+    LAPACK returns the eigenvalue of a 1x1 matrix as its entry, and the
+    sort and the cut are shared.
+
+    Each Gram matrix is Hermitian with trace |B_b|_F^2 <= 1, so by Weyl's
+    bound each eigenvalue is off by at most the rounding in forming it
+    plus the Hermitian solver's backward error, both O(d_b eps) for a
+    block of side d_b (the longer of its two); d_b <= d = 2^n, so no
+    probability is less accurate than from the full rho_B.  Squaring a
+    block's condition number costs digits in its singular values, not in
+    these probabilities.
+    """
+    if not abs(state.norm() - 1.0) <= 1e-10:  # NaN fails too
+        raise ValueError(f"state is not normalized: |amps| = {state.norm()}")
+    m = state.as_matrix()
+    nz = m != 0
+    count = np.count_nonzero(nz)
+    if count == np.count_nonzero(nz.any(axis=0)) == np.count_nonzero(nz.any(axis=1)):
+        v = m[nz]
+        probs = (v * v.conj()).real.astype(np.float64, copy=False)
+    else:
+        probs = _block_eigenvalues(m, nz)
+    probs = np.sort(probs)[::-1]
     return probs[probs > 1e-14]
 
 

@@ -232,7 +232,9 @@ def gap_scan(p: float, n_list: list[int]) -> list[EntanglementReport]:
     """Entanglement reports for the test states with k = n*p.
 
     Every n in n_list must satisfy n*p integer (the scan takes k exactly,
-    never averaged over the binomial spread).
+    never averaged over the binomial spread).  Each point gives e_in and
+    e_out as e_in(spec) and e_out(spec) do, from one C(n, k): the S_0 that
+    starts the recurrence.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of [0, 1]: {p}")
@@ -240,7 +242,11 @@ def gap_scan(p: float, n_list: list[int]) -> list[EntanglementReport]:
     for n in n_list:
         k = _k_for(n, p)
         spec = TestStateSpec(n=n, k=k)
-        reports.append(EntanglementReport(n=n, k=k, e_in=e_in(spec), e_out=e_out(spec)))
+        roots = half_inner_sums(spec.n, spec.k)
+        count = next(roots)
+        reports.append(EntanglementReport(
+            n=n, k=k, e_in=_spectrum_entropy(spec.n, chain((count,), roots)),
+            e_out=spec.n - log2_big(count)))
     return reports
 
 

@@ -272,6 +272,28 @@ def svd_probs(state: PureStateVector) -> np.ndarray:
     return probs[probs > 1e-14]
 
 
+def labeled_probs(state: PureStateVector) -> np.ndarray:
+    """Schmidt probabilities by the labeled block route, whatever the
+    pattern, sorted and cut as schmidt_spectrum does."""
+    m = state.as_matrix()
+    probs = np.sort(oracle._block_eigenvalues(m, m != 0))[::-1]
+    return probs[probs > 1e-14]
+
+
+@pytest.fixture
+def block_label_calls(monkeypatch):
+    """The patterns oracle._block_labels is called with, in order."""
+    calls = []
+    labels = oracle._block_labels
+
+    def spy(nz):
+        calls.append(nz)
+        return labels(nz)
+
+    monkeypatch.setattr(oracle, "_block_labels", spy)
+    return calls
+
+
 def spectrum_tol(n: int) -> float:
     """Largest |p - p_svd| that rounding can explain for a unit state on n
     pairs, with d = 2^n and eps the float64 unit roundoff.
@@ -440,16 +462,68 @@ class TestSchmidtSpectrum:
         assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
 
     @pytest.mark.parametrize("n", [1, 4, 10])
-    def test_diagonal_state_is_squared_diagonal(self, n):
-        # 1x1 blocks: each probability is one squared amplitude, exactly.
+    def test_diagonal_state_is_squared_diagonal(self, n, block_label_calls):
+        # A diagonal with zeros, its rows and columns then permuted: 1x1
+        # blocks, each probability one squared amplitude, exactly, read off
+        # the entries without labeling a block.  Integer amplitudes make a
+        # unit state only as one +-1.
         rng = np.random.default_rng(4000 + n)
-        diag = rng.normal(size=1 << n)
-        diag[rng.random(1 << n) < 0.3] = 0.0
-        diag[0] = 1.0
-        diag /= np.linalg.norm(diag)
-        state = PureStateVector(n_pairs=n, amps=np.diag(diag).reshape(-1))
-        expected = np.sort(diag**2)[::-1]
-        assert np.array_equal(schmidt_spectrum(state), expected[expected > 1e-14])
+        d = 1 << n
+        real = rng.normal(size=d)
+        ints = np.zeros(d, dtype=np.int64)
+        ints[rng.integers(d)] = -1
+        for diag in (real, real + 1j * rng.normal(size=d), ints):
+            if diag.dtype != np.int64:
+                diag[rng.random(d) < 0.3] = 0.0
+                diag[0] = 1.0
+                diag /= np.linalg.norm(diag)
+            squares = (diag * diag.conj()).real.astype(np.float64)
+            expected = np.sort(squares)[::-1]
+            m = np.diag(diag)[rng.permutation(d)][:, rng.permutation(d)]
+            state = PureStateVector(n_pairs=n, amps=m.reshape(-1))
+            probs, ref = schmidt_spectrum(state), svd_probs(state)
+            assert probs.dtype == np.float64
+            assert np.array_equal(probs, expected[expected > 1e-14])
+            assert probs.shape == ref.shape
+            assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
+        assert block_label_calls == []
+
+    def test_monomial_exit_matches_labeled_route(self, block_label_calls):
+        # Bit for bit, on every Bell and product test state and relabeled
+        # image up to 8 pairs and at (10, 5), none of which labels a block.
+        configs = [(n, k) for n in range(1, 9) for k in range(n + 1)] + [(10, 5)]
+        for n, k in configs:
+            for enc in (BELL, PROD):
+                state = superpose_strings(permutation_strings(n, k), enc)
+                for s in (state, apply_ubc(state, n, k, enc)):
+                    probs = schmidt_spectrum(s)
+                    assert block_label_calls == []
+                    assert probs.tobytes() == labeled_probs(s).tobytes()
+                    block_label_calls.clear()  # the labeled route's own call
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("axis", ["column", "row"])
+    def test_one_entry_off_monomial_takes_labeled_route(self, n, axis, block_label_calls):
+        # A permuted diagonal with one zero on it, then one more nonzero in
+        # that zero's row (two nonzeros in one column) or in its column (two
+        # in one row): a 2x1 or 1x2 block, whose one eigenvalue is the sum
+        # of two squares.
+        rng = np.random.default_rng(5000 + n)
+        d = 1 << n
+        diag = rng.normal(size=d)
+        diag[1] = 0.0
+        m = np.diag(diag)
+        if axis == "column":
+            m[1, 0] = rng.normal()
+        else:
+            m[0, 1] = rng.normal()
+        row_perm, col_perm = rng.permutation(d), rng.permutation(d)
+        m = m[row_perm][:, col_perm] / np.linalg.norm(m)
+        state = PureStateVector(n_pairs=n, amps=m.reshape(-1))
+        probs, ref = schmidt_spectrum(state), svd_probs(state)
+        assert len(block_label_calls) == 1
+        assert probs.shape == ref.shape == (d - 1,)
+        assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
 
     def test_output_contract(self):
         # float64 for complex input too, non-increasing, nothing at or below

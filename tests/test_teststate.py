@@ -298,6 +298,27 @@ class TestGapScan:
         gaps = [r.gap for r in reports]
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
+    def test_one_binomial_per_point(self, monkeypatch):
+        # e_in and e_out share the C(n, k) that starts the recurrence, and
+        # give the floats e_in(spec) and e_out(spec) give.
+        ns = [1, 2, 7, 40, 333, 1200]
+        for p in (0.0, 1 / 3, 0.5, 1.0):
+            grid = [n for n in ns if abs(n * p - round(n * p)) < 1e-9]
+            specs = [TestStateSpec(n, round(n * p)) for n in grid]
+            expected = [(s.n, s.k, e_in(s), e_out(s)) for s in specs]
+            calls = []
+            comb = math.comb
+
+            def counting(n, k):
+                calls.append((n, k))
+                return comb(n, k)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(math, "comb", counting)
+                reports = gap_scan(p, grid)
+            assert calls == [(s.n, s.k) for s in specs]
+            assert [tuple(r) for r in reports] == expected
+
 
 class TestFits:
     def test_exact_line_recovered(self):
