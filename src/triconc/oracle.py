@@ -23,7 +23,10 @@ strings and test states are uniform superpositions of strings
 built the same way: a ``(2,)*n`` tensor of logical theta/tau
 coefficients mapped to amplitudes by that change of basis, applied pair
 by pair in Kronecker order (one ``(4, 2)`` matrix product per pair)
-straight into the B|C matrix, with no transpose over all 2n qubit axes.
+straight into the B|C matrix, with no transpose over all 2n qubit axes,
+in two state-sized buffers per build.  The way back to logical
+coefficients measures, pair by pair, the norm outside the theta/tau
+product span, so the relabeling checks its input without rebuilding it.
 Storage is real (float64) by default, since the stock encodings
 and gates are real; the dtype follows the encoding, so a caller-built
 complex :class:`PairEncoding` gives complex states.  Everything is
@@ -33,6 +36,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -88,6 +92,26 @@ class PairEncoding:
                 raise ValueError(f"{name} is not normalized")
         if abs(np.vdot(self.theta, self.tau)) > _ORTHO_TOL:
             raise ValueError("theta and tau must be orthogonal")
+
+    @functools.cached_property
+    def _complement(self) -> np.ndarray:
+        """(2, 4) orthonormal rows, conjugated like <theta| and <tau|, of the
+        pair states orthogonal to both: Gram-Schmidt on the columns of the
+        complement projector I - A^T A* (A the rows theta, tau), each time
+        on the column with the most norm left, which is at least 1/2 (a
+        rank-r projector on C^4 has a diagonal entry of at least r / 4).
+        The column is projected once more off theta, tau and the rows
+        taken before it, so the rows are orthogonal to those to a few
+        ulps; no LAPACK routine is called."""
+        a = np.stack([self.theta.reshape(-1), self.tau.reshape(-1)])
+        q = np.eye(4) - a.T @ a.conj()
+        for _ in range(2):
+            col = q[:, np.argmax((q * q.conj()).real.sum(axis=0))]
+            col = col - a.T @ (a.conj() @ col)
+            u = col / math.sqrt(_square_norm(col))
+            q = q - np.outer(u, u.conj() @ q)
+            a = np.vstack([a, u])
+        return a[2:].conj()
 
     @classmethod
     def bell(cls) -> "PairEncoding":
@@ -360,32 +384,52 @@ def ubc_codebook(n: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     return list(zip(perms, codewords(count, (count - 1).bit_length(), n)))
 
 
-def _logical_coefficients(state: PureStateVector, enc: PairEncoding) -> np.ndarray:
+def _logical_coefficients(
+    state: PureStateVector, enc: PairEncoding
+) -> tuple[np.ndarray, float]:
     # _from_logical undone step by step: split the leading bit off B and off
     # C and contract that pair with <theta| and <tau|, its logical bit going
-    # ahead of X.  Axis j of the result is the logical index of pair j.
+    # ahead of X.  Axis j of the result is the logical index of pair j.  Each
+    # step's (4, R) array t_j also meets the complement rows W_perp, and the
+    # norm outside the product span is sqrt(sum_j |W_perp t_j|^2), as
+    # apply_ubc's docstring derives.
     n = state.n_pairs
     w = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).conj()  # (2, 4)
+    w_perp = enc._complement
     t = state.as_matrix()[None]
+    outside = 0.0
     for _ in range(n):
         x, b, c = t.shape
-        t = t.reshape(x, 2, b // 2, 2, c // 2).transpose(1, 3, 0, 2, 4)
-        t = (w @ t.reshape(4, -1)).reshape(2 * x, b // 2, c // 2)
-    return t.reshape((2,) * n).T
+        t = t.reshape(x, 2, b // 2, 2, c // 2).transpose(1, 3, 0, 2, 4).reshape(4, -1)
+        outside += _square_norm(w_perp @ t)  # freed before the coefficients
+        t = (w @ t).reshape(2 * x, b // 2, c // 2)
+    return t.reshape((2,) * n).T, math.sqrt(outside)
+
+
+def _square_norm(v: np.ndarray) -> float:
+    return float(np.vdot(v, v).real)
 
 
 def _from_logical(logical: np.ndarray, n: int, enc: PairEncoding) -> PureStateVector:
     # Kronecker order, last pair first, on t = (X, B, C): X holds the logical
     # bits of the pairs to do (pair 0's last), B and C the bits of the pairs
     # done.  A step maps X's leading bit to its pair's (b, c) and puts b ahead
-    # of B and c ahead of C, so t ends as the B|C matrix itself.
+    # of B and c ahead of C, so t ends as the B|C matrix itself.  Every step
+    # doubles t and works in the leading entries of two state-sized buffers:
+    # the (4, 2) product goes into prod, its transpose into out, which the
+    # last step fills and the state keeps.
     a = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).T  # (4, 2)
+    prod = np.empty(4**n, dtype=np.result_type(a, logical))
+    out = np.empty_like(prod)
     t = logical.T.reshape(-1, 1, 1)
     for _ in range(n):
         x, b, c = t.shape
-        t = (a @ t.reshape(2, -1)).reshape(2, 2, x // 2, b, c)
-        t = t.transpose(2, 0, 3, 1, 4).reshape(x // 2, 2 * b, 2 * c)
-    return PureStateVector(n_pairs=n, amps=t.reshape(-1))
+        size = 2 * x * b * c
+        np.matmul(a, t.reshape(2, -1), out=prod[:size].reshape(4, -1))
+        t = out[:size].reshape(x // 2, 2, b, 2, c)
+        t[...] = prod[:size].reshape(2, 2, x // 2, b, c).transpose(2, 0, 3, 1, 4)
+        t = t.reshape(x // 2, 2 * b, 2 * c)
+    return PureStateVector(n_pairs=n, amps=out)
 
 
 def apply_ubc(
@@ -394,16 +438,27 @@ def apply_ubc(
     """Apply the compression relabeling to a permutation-subspace state.
 
     The state must (a) lie in the theta/tau product span of its pairs,
-    verified by a round-trip change of basis with residual below 1e-10,
-    and (b) be supported only on weight-k strings.  Both violations are
-    domain errors.  The relabeling follows :func:`ubc_codebook` and is
-    an isometry on the permutation subspace.
+    with the norm of its part outside that span below 1e-10, and (b) be
+    supported only on weight-k strings.  Both violations are domain
+    errors.  The relabeling follows :func:`ubc_codebook` and is an
+    isometry on the permutation subspace.
+
+    The part outside the span is measured while the logical coefficients
+    are taken, with no state rebuilt from them.  With P_j the projector on
+    span{theta, tau} of pair j, I - P_0 P_1 ... P_{n-1} telescopes into the
+    sum over j of P_0 ... P_{j-1} (I - P_j), whose terms are mutually
+    orthogonal, so the squared residual is the sum of |W_perp t_j|^2: W_perp
+    the two orthonormal rows of the pair's complement, t_j the (4, R) array
+    of step j, which already carries the contractions P_0 ... P_{j-1}.  Each
+    term is a sum of squares, not a difference of nearly equal norms, so the
+    residual is off by O(eps) relative to itself plus a few eps absolute
+    from the rows' own orthogonality (|psi| = 1), and the 1e-10 threshold
+    means what the round trip's |psi - Pi psi| meant (the two agree to
+    within a few 1e-15).
     """
     if state.n_pairs != n:
         raise ValueError(f"state has {state.n_pairs} pairs, expected {n}")
-    logical = _logical_coefficients(state, enc)
-    # The round trip is a temporary, freed before the final change of basis.
-    residual = float(np.linalg.norm(state.amps - _from_logical(logical, n, enc).amps))
+    logical, residual = _logical_coefficients(state, enc)
     if residual > 1e-10:
         raise ValueError(
             f"state is not in the theta/tau product span (residual {residual:.3e})"
@@ -485,7 +540,7 @@ def verify_n2_circuit() -> tuple[float, dict[tuple[int, ...], tuple[int, ...]]]:
     worst = 0.0
     images = {}
     for bits in logical:
-        out = _logical_coefficients(apply_local_circuit(string_state(bits, enc), circuit), enc)
+        out, _ = _logical_coefficients(apply_local_circuit(string_state(bits, enc), circuit), enc)
         fid = {c: abs(out[c]) for c in logical}
         images[bits] = max(logical, key=fid.__getitem__)  # first on ties
         worst = max(worst, 1.0 - fid[images[bits]])

@@ -1,5 +1,6 @@
 """Brute-force oracle: explicit states, spectra, relabeling, circuits."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -67,6 +68,32 @@ def kron_reference(strings: list[tuple[int, ...]], enc: PairEncoding) -> np.ndar
 
 def max_dev(state: PureStateVector, ref: np.ndarray) -> float:
     return float(np.max(np.abs(state.amps - ref)))
+
+
+def random_pair(seed: int) -> PairEncoding:
+    """Two columns of a random complex unitary as theta and tau."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return PairEncoding(theta=q[:, 0].reshape(2, 2), tau=q[:, 1].reshape(2, 2))
+
+
+def allocating_from_logical(logical: np.ndarray, n: int, enc: PairEncoding) -> np.ndarray:
+    """oracle._from_logical's amplitudes with a fresh product and a fresh
+    transposed copy at every step."""
+    a = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).T
+    t = logical.T.reshape(-1, 1, 1)
+    for _ in range(n):
+        x, b, c = t.shape
+        t = (a @ t.reshape(2, -1)).reshape(2, 2, x // 2, b, c)
+        t = t.transpose(2, 0, 3, 1, 4).reshape(x // 2, 2 * b, 2 * c)
+    return t.reshape(-1)
+
+
+def round_trip_residual(state: PureStateVector, enc: PairEncoding) -> float:
+    """|psi - Pi psi|, Pi psi rebuilt from psi's logical coefficients."""
+    logical, _ = oracle._logical_coefficients(state, enc)
+    rebuilt = oracle._from_logical(logical, state.n_pairs, enc)
+    return float(np.linalg.norm(state.amps - rebuilt.amps))
 
 
 def dense_gate_reference(gate: Gate, n: int) -> np.ndarray:
@@ -247,7 +274,7 @@ class TestChangeOfBasis:
     def test_logical_round_trip(self, enc, n):
         rng = np.random.default_rng(n)
         logical = rng.standard_normal((2,) * n) + 1j * rng.standard_normal((2,) * n)
-        back = oracle._logical_coefficients(oracle._from_logical(logical, n, enc), enc)
+        back, _ = oracle._logical_coefficients(oracle._from_logical(logical, n, enc), enc)
         assert back.shape == logical.shape
         # Each of the n steps out forms every entry as a two-term sum of
         # complex products, each step back as a four-term one; a K-term sum
@@ -263,6 +290,88 @@ class TestChangeOfBasis:
 
         tol = n * math.sqrt(2) * (gamma(4) + gamma(6)) * np.linalg.norm(logical)
         assert np.linalg.norm(back - logical) <= tol
+
+
+    @pytest.mark.parametrize("enc", [BELL, PROD, PHASED, SKEW],
+                             ids=["bell", "product", "phased", "skew"])
+    def test_buffered_build_is_bit_identical(self, enc):
+        # the same BLAS call on the same operands, into reused buffers; SKEW
+        # tells a pair's B bit from its C bit
+        configs = [(n, k) for n in range(1, 9) for k in range(n + 1)]
+        for n, k in configs + [(10, 0), (10, 5), (10, 9)]:
+            strings = permutation_strings(n, k)
+            logical = np.zeros((2,) * n)
+            logical[oracle._logical_index(strings, n)] = 1.0 / math.sqrt(len(strings))
+            got = superpose_strings(strings, enc).amps
+            assert got.tobytes() == allocating_from_logical(logical, n, enc).tobytes(), (n, k)
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_built_state_owns_exactly_its_amplitudes(self, n):
+        states = [string_state((1,) * n, BELL), string_state((0,) * n, PHASED),
+                  apply_ubc(build_test_state(TestStateSpec(n, n // 2)), n, n // 2, BELL)]
+        for state in states:
+            assert state.amps.size == 4**n
+            assert state.amps.base is None or state.amps.base.nbytes <= state.amps.nbytes
+        for a, b in itertools.combinations(states, 2):
+            assert not np.shares_memory(a.amps, b.amps)
+
+
+class TestSpanResidual:
+    """_logical_coefficients' norm outside the theta/tau product span,
+    summed pair by pair, against the round trip |psi - Pi psi|."""
+
+    @pytest.mark.parametrize("enc", [BELL, PROD, PHASED], ids=["bell", "product", "phased"])
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_matches_round_trip(self, enc, n):
+        rng = np.random.default_rng(n)
+        shape = (2,) * n
+        for trial in range(3):
+            logical = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            logical /= np.linalg.norm(logical)
+            inside = oracle._from_logical(logical, n, enc).amps
+            away = rng.standard_normal(4**n) + 1j * rng.standard_normal(4**n)
+            away /= np.linalg.norm(away)
+            for size in (0.0, 1e-12, 1e-10, 1e-6, 1.0):
+                state = PureStateVector(n, inside + size * away)
+                _, residual = oracle._logical_coefficients(state, enc)
+                assert abs(residual - round_trip_residual(state, enc)) < 1e-14, size
+                if size == 0.0:
+                    assert residual < 1e-14
+
+    def test_complement_rows_are_orthonormal_to_the_pair(self):
+        # a single Gram-Schmidt pass leaves about 1 in 1000 random pairs
+        # (seeds 369 and 730 here) above 1e-15 off theta or tau
+        for enc in [BELL, PROD, PHASED] + [random_pair(seed) for seed in range(1000)]:
+            w_perp = enc._complement
+            signal = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)])
+            assert w_perp.shape == (2, 4)
+            assert np.max(np.abs(w_perp @ w_perp.conj().T - np.eye(2))) <= 1e-15
+            assert np.max(np.abs(w_perp @ signal.T)) <= 1e-15
+
+    def test_rejects_flipped_bell_pair_at_ten_pairs(self):
+        # X on a B qubit sends both Bell signal states out of their span
+        flipped = apply_local_circuit(build_test_state(TestStateSpec(10, 5)),
+                                      (Gate("B", "X", 0),))
+        with pytest.raises(ValueError, match="span"):
+            apply_ubc(flipped, 10, 5, BELL)
+
+    def test_rejects_a_1e9_leak_and_accepts_a_1e12_one(self):
+        state = build_test_state(TestStateSpec(6, 3))
+        leak = apply_local_circuit(state, (Gate("C", "X", 2),)).amps  # unit, outside
+        clean = apply_ubc(state, 6, 3, BELL)
+        out = apply_ubc(PureStateVector(6, state.amps + 1e-12 * leak), 6, 3, BELL)
+        assert max_dev(out, clean.amps) < 1e-12
+        with pytest.raises(ValueError, match="span"):
+            apply_ubc(PureStateVector(6, state.amps + 1e-9 * leak), 6, 3, BELL)
+
+    def test_apply_ubc_builds_only_the_image(self, monkeypatch):
+        state = build_test_state(TestStateSpec(5, 2))
+        built = []
+        from_logical = oracle._from_logical
+        monkeypatch.setattr(oracle, "_from_logical",
+                            lambda *args: built.append(args[1]) or from_logical(*args))
+        apply_ubc(state, 5, 2, BELL)
+        assert built == [5]
 
 
 def svd_probs(state: PureStateVector) -> np.ndarray:

@@ -331,6 +331,23 @@ class TestMatchesReference:
         assert any("lingers below the limit" in _switch_and_stop_orders(cfg, run, stats)
                    for run, (_, stats) in enumerate(expected))
 
+    def test_switch_at_the_last_batch_of_a_block_after_lingering(self, monkeypatch):
+        # As above, n = 2^21 - 1 and _EXACT_BITS = 21: a run whose first k
+        # is 1 sits at D_M = n, just under the limit, through every k = 0,
+        # and its search starts at batch 1.  If its next nonzero k is 1 at
+        # batch 16, the first block's last, it switches there at D_M = n^2,
+        # and with epsilon between eps_prime(n^2) = 1 - 2^-19 + 2^-41 and
+        # eps_prime(n) = 1 - 2^-20 it stops there too, with eps_prime from
+        # the float log2_big(n^2).  A search that ended one batch short of
+        # the block's end would decide that batch on the exact n^2 instead.
+        monkeypatch.setattr(protocol, "_EXACT_BITS", 21)
+        n = 2**21 - 1
+        cfg = BatchConfig(n=n, p=0.125 / n, epsilon=1 - 1.5 * 2**-20, seed=0xC0FFEE)
+        expected = [_reference_run_batches(cfg, run) for run in range(3000)]
+        assert _walked(cfg, range(3000)) == expected
+        at_end = (1,) + (0,) * (protocol._FIRST_BLOCK - 2) + (1,)
+        assert sum(stats.k_list == at_end for _, stats in expected) >= 5
+
     @pytest.mark.parametrize(("exact_bits", "epsilon", "runs", "orders"), [
         (64, 0.1, 200, {"stops at its switch", "stops in its search block, before it"}),
         (None, 0.001, 150, {"stops in its search block, before it"}),
