@@ -22,16 +22,17 @@ strings and test states are uniform superpositions of strings
 (:func:`superpose_strings`), and every state, relabeled images too, is
 built the same way: a ``(2,)*n`` tensor of logical theta/tau
 coefficients mapped to amplitudes by that change of basis, applied pair
-by pair in Kronecker order (one ``(4, 2)`` matrix product per pair)
-straight into the B|C matrix, with no transpose over all 2n qubit axes,
-in two state-sized buffers per build.  The way back to logical
-coefficients measures, pair by pair, the norm outside the theta/tau
-product span, so the relabeling checks its input without rebuilding it.
-Storage is real (float64) by default, since the stock encodings
-and gates are real; the dtype follows the encoding, so a caller-built
-complex :class:`PairEncoding` gives complex states.  Everything is
-capped at 10 pairs (4**10 amplitudes); that is the price of being an
-oracle.
+by pair in Kronecker order, one ``(|S|, 2)`` matrix product per pair on
+the pair basis states S where theta or tau is nonzero (|00> and |11>
+for the stock encodings), and scattered once into a zeroed B|C matrix.
+The way back to logical coefficients gathers the same entries and
+measures the norm outside the theta/tau product span, off the support
+and pair by pair on it, so the relabeling checks its input without
+rebuilding it.  Storage is real (float64) by default, since the stock
+encodings and gates are real; the dtype follows the encoding, so a
+caller-built complex :class:`PairEncoding` gives complex states.
+Everything is capped at 10 pairs (4**10 amplitudes); that is the price
+of being an oracle.
 """
 
 from __future__ import annotations
@@ -112,6 +113,16 @@ class PairEncoding:
             q = q - np.outer(u, u.conj() @ q)
             a = np.vstack([a, u])
         return a[2:].conj()
+
+    @functools.cached_property
+    def _support(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """S, the pair basis states 2b + c (of 00, 01, 10, 11) on which
+        theta or tau is nonzero, ascending, and the (|S|, 2) rows a_S of
+        [theta tau] on S.  Every state built from the pair has its
+        amplitudes on the product of the pairs' S only."""
+        a = np.stack([self.theta.reshape(-1), self.tau.reshape(-1)]).T  # (4, 2)
+        support = np.flatnonzero(np.any(a != 0, axis=1))
+        return tuple(support.tolist()), a[support]
 
     @classmethod
     def bell(cls) -> "PairEncoding":
@@ -252,7 +263,13 @@ def build_test_state(spec: TestStateSpec) -> PureStateVector:
     Bell encoding, the state :mod:`triconc.teststate` has closed forms
     for; other encodings go through :func:`superpose_strings`."""
     _check_cap(spec.n)  # before enumerating C(n, k) strings
-    return superpose_strings(permutation_strings(spec.n, spec.k), PairEncoding.bell())
+    return superpose_strings(permutation_strings(spec.n, spec.k), _bell())
+
+
+@functools.cache
+def _bell() -> PairEncoding:
+    # One Bell encoding for every test state, so that its support is taken once.
+    return PairEncoding.bell()
 
 
 def _block_labels(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,22 +404,27 @@ def ubc_codebook(n: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]
 def _logical_coefficients(
     state: PureStateVector, enc: PairEncoding
 ) -> tuple[np.ndarray, float]:
-    # _from_logical undone step by step: split the leading bit off B and off
-    # C and contract that pair with <theta| and <tau|, its logical bit going
-    # ahead of X.  Axis j of the result is the logical index of pair j.  Each
-    # step's (4, R) array t_j also meets the complement rows W_perp, and the
-    # norm outside the product span is sqrt(sum_j |W_perp t_j|^2), as
+    # _from_logical undone step by step on the support S: gather the
+    # amplitudes on S, pair 0 leading, then split the leading pair's
+    # S-coordinate off and contract it with <theta| and <tau| on S, its
+    # logical bit going ahead of X.  Axis j of the result is the logical index
+    # of pair j.  Each step's (|S|, R) array t_j also meets the complement
+    # rows on S, and the norm outside the product span is the square root of
+    # the squared norm off the support plus sum_j |W_perp[:, S] t_j|^2, as
     # apply_ubc's docstring derives.
     n = state.n_pairs
-    w = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).conj()  # (2, 4)
-    w_perp = enc._complement
-    t = state.as_matrix()[None]
-    outside = 0.0
+    support, a_s = enc._support
+    idx = _support_index(support, n)
+    off = state.amps.copy()
+    off[idx] = 0
+    outside = _square_norm(off)  # a sum of squares, never |psi|^2 - |psi_S|^2
+    w, w_perp = a_s.T.conj(), enc._complement[:, support]
+    t = state.amps[idx].reshape(1, -1)
     for _ in range(n):
-        x, b, c = t.shape
-        t = t.reshape(x, 2, b // 2, 2, c // 2).transpose(1, 3, 0, 2, 4).reshape(4, -1)
-        outside += _square_norm(w_perp @ t)  # freed before the coefficients
-        t = (w @ t).reshape(2 * x, b // 2, c // 2)
+        x = len(t)
+        t = t.reshape(x, len(support), -1).transpose(1, 0, 2).reshape(len(support), -1)
+        outside += _square_norm(w_perp @ t)
+        t = (w @ t).reshape(2 * x, -1)
     return t.reshape((2,) * n).T, math.sqrt(outside)
 
 
@@ -410,26 +432,37 @@ def _square_norm(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
 
 
-def _from_logical(logical: np.ndarray, n: int, enc: PairEncoding) -> PureStateVector:
-    # Kronecker order, last pair first, on t = (X, B, C): X holds the logical
-    # bits of the pairs to do (pair 0's last), B and C the bits of the pairs
-    # done.  A step maps X's leading bit to its pair's (b, c) and puts b ahead
-    # of B and c ahead of C, so t ends as the B|C matrix itself.  Every step
-    # doubles t and works in the leading entries of two state-sized buffers:
-    # the (4, 2) product goes into prod, its transpose into out, which the
-    # last step fills and the state keeps.
-    a = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).T  # (4, 2)
-    prod = np.empty(4**n, dtype=np.result_type(a, logical))
-    out = np.empty_like(prod)
-    t = logical.T.reshape(-1, 1, 1)
+@functools.lru_cache(maxsize=None)  # at most 15 supports times MAX_DENSE_PAIRS
+def _support_index(support: tuple[int, ...], n: int) -> np.ndarray:
+    """The flat B|C index of each entry of the (|S|,)^n tensor of
+    amplitudes on the support S = support, pair 0 leading: the sum over j
+    of e[s_j] 2^(n-1-j), e[s] = b(s) 2^n + c(s) for s = 2b + c; for
+    S = {00, 11}, (2^n + 1) arange(2^n).  Read-only, as it is shared."""
+    s = np.array(support, dtype=np.intp)
+    e = (s >> 1 << n) | (s & 1)
+    idx = np.zeros(1, dtype=np.intp)
     for _ in range(n):
-        x, b, c = t.shape
-        size = 2 * x * b * c
-        np.matmul(a, t.reshape(2, -1), out=prod[:size].reshape(4, -1))
-        t = out[:size].reshape(x // 2, 2, b, 2, c)
-        t[...] = prod[:size].reshape(2, 2, x // 2, b, c).transpose(2, 0, 3, 1, 4)
-        t = t.reshape(x // 2, 2 * b, 2 * c)
-    return PureStateVector(n_pairs=n, amps=out)
+        idx = (2 * idx[:, None] + e).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _from_logical(logical: np.ndarray, n: int, enc: PairEncoding) -> PureStateVector:
+    # Kronecker order, last pair first, on t = (X, R): X holds the logical
+    # bits of the pairs to do (pair 0's last), R the S-coordinates of the
+    # pairs done.  A step maps X's leading bit to its pair's amplitudes on S
+    # with a_S and puts them ahead of R, so t ends as the (|S|,)^n tensor of
+    # the state's amplitudes on the support, pair 0 leading, which one
+    # scatter writes into the otherwise zero B|C matrix.
+    support, a_s = enc._support
+    t = logical.T.reshape(-1, 1)
+    for _ in range(n):
+        x, r = t.shape
+        t = (a_s @ t.reshape(2, -1)).reshape(len(support), x // 2, r)
+        t = t.transpose(1, 0, 2).reshape(x // 2, -1)
+    amps = np.zeros(4**n, dtype=t.dtype)
+    amps[_support_index(support, n)] = t.reshape(-1)
+    return PureStateVector(n_pairs=n, amps=amps)
 
 
 def apply_ubc(
@@ -444,17 +477,25 @@ def apply_ubc(
     isometry on the permutation subspace.
 
     The part outside the span is measured while the logical coefficients
-    are taken, with no state rebuilt from them.  With P_j the projector on
+    are taken, with no state rebuilt from them.  With S the pair basis
+    states on which theta or tau is nonzero, the product span lies in the
+    entries whose every pair is in S, and the projector Pi on it reads only
+    those entries, so (I - Pi) psi = psi_off + (I - Pi) psi_S, psi_off the
+    entries off that support and psi_S the others, two orthogonal parts.
+    The first is taken as the sum of the squares of those entries, never
+    as |psi|^2 - |psi_S|^2.  For the second, with P_j the projector on
     span{theta, tau} of pair j, I - P_0 P_1 ... P_{n-1} telescopes into the
     sum over j of P_0 ... P_{j-1} (I - P_j), whose terms are mutually
-    orthogonal, so the squared residual is the sum of |W_perp t_j|^2: W_perp
-    the two orthonormal rows of the pair's complement, t_j the (4, R) array
-    of step j, which already carries the contractions P_0 ... P_{j-1}.  Each
-    term is a sum of squares, not a difference of nearly equal norms, so the
-    residual is off by O(eps) relative to itself plus a few eps absolute
-    from the rows' own orthogonality (|psi| = 1), and the 1e-10 threshold
-    means what the round trip's |psi - Pi psi| meant (the two agree to
-    within a few 1e-15).
+    orthogonal, so its square is the sum of |W_perp[:, S] t_j|^2: W_perp
+    the two orthonormal rows of the pair's complement, t_j the (|S|, R)
+    array of step j, which already carries the contractions P_0 ...
+    P_{j-1}.  (For a support of two states, as in the stock encodings,
+    these terms are rounding.)  Every term is a sum of squares, not a
+    difference of nearly equal norms, so the residual is off by O(eps)
+    relative to itself plus a few eps absolute from the rows' own
+    orthogonality (|psi| = 1), and the 1e-10 threshold means what the
+    round trip's |psi - Pi psi| meant (the two agree to within a few
+    1e-15).
     """
     if state.n_pairs != n:
         raise ValueError(f"state has {state.n_pairs} pairs, expected {n}")

@@ -74,9 +74,11 @@ def _q(n: int, p: float, carrying: frozenset[int]) -> float:
     return math.fsum(math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in carrying)
 
 
-def _check_run(stats, truncated: bool, n: int, b: int, carrying, j1: int | None) -> None:
-    """One run against the oracle, exactly: where it stopped, l and
-    eps_prime."""
+def _check_run(stats, truncated: bool, n: int, b: int, carrying, j1: int | None,
+               eps_tol: Fraction | None = None) -> None:
+    """One run against the oracle, exactly: where it stopped and l, and
+    eps_prime as the correctly rounded exact one or, given eps_tol, within
+    eps_tol of the exact one."""
     ks = stats.k_list
     assert len(ks) == stats.m_batches
     carried = [k in carrying for k in ks]
@@ -87,7 +89,10 @@ def _check_run(stats, truncated: bool, n: int, b: int, carrying, j1: int | None)
         assert truncated and stats.m_batches == protocol._MAX_BATCHES
         return
     assert not truncated and carried[-1] and sum(carried) == j1
-    assert stats.eps_prime == float(_eps_prime(b**j1))
+    if eps_tol is None:
+        assert stats.eps_prime == float(_eps_prime(b**j1))
+    else:
+        assert abs(Fraction(stats.eps_prime) - _eps_prime(b**j1)) <= eps_tol
     a = sum(_valuation2(math.comb(n, k)) for k in ks)
     assert stats.l == a + (b**j1).bit_length() - 1
 
@@ -169,6 +174,35 @@ class TestOneBaseOracle:
         # the sample variance is near var with variance (mu4 - var^2) / runs
         z_var = (statistics.variance(ms) - var) / math.sqrt((mu4 - var**2) / runs)
         assert abs(z_mean) < _Z and abs(z_var) < _Z, (z_mean, z_var)
+
+    def test_runs_past_the_switch(self):
+        # n = 5, p = 0.5, epsilon = 1e-4: 5^j1 alone has 9298 bits, and the
+        # batches at k = 2 and 3 (C = 10) add a factor 2 each, so a run that
+        # carries 5 stops with D_M past _EXACT_BITS, on the float log2 D_M, s
+        n, p, epsilon, runs = 5, 0.5, 1e-4, 200
+        b, carrying = _base(n)
+        j1 = _first_stop(b, epsilon, protocol._MAX_BATCHES)
+        assert j1 == 4004 and (b**j1).bit_length() == 9298
+        exact = _eps_prime(b**j1)
+        # frac(log2 D_M) = frac(j1 log2 b) = log2(1 + exact) must lie further
+        # than delta inside the window [0, log2(1 + epsilon)] for s to decide
+        # as log2 D_M does; 2^delta < 1 + delta (on (0, 1) the convex 2^x
+        # lies below its chord 1 + x), so these exact comparisons imply it
+        delta = Fraction(protocol._DELTA)
+        assert 1 + exact >= 1 + delta
+        assert 1 + Fraction(epsilon) >= (1 + exact) * (1 + delta)
+        # run_trials' docstring bounds the error of s by 2e-8 while log2 D_M
+        # < 2^14 and over at most _MAX_BATCHES adds; with |2^e - 1| <= |e|
+        # for |e| <= 1, eps_prime = 2^(s - l) - 1 is then off by at most
+        # (1 + exact) 2e-8, plus the rounding of 2^(s - l) and its - 1
+        eps_tol = (1 + exact) * Fraction(2e-8) + Fraction(1e-15)
+        cfg = BatchConfig(n=n, p=p, epsilon=epsilon, seed=2026)
+        results = list(run_trials(cfg, range(runs)))
+        for stats, truncated in results:
+            _check_run(stats, truncated, n, b, carrying, j1, eps_tol)
+            if stats.eps_prime:  # switched, with log2 D_M < l + 1 < 2^14
+                assert protocol._EXACT_BITS <= stats.l and stats.l + 1 < 2**14
+        assert {s.eps_prime == 0.0 for s, _ in results} == {False, True}
 
     def test_truncation_rate_is_q(self):
         # at epsilon = 2e-5 base 3 has no stop up to _MAX_BATCHES: every

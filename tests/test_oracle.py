@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -50,20 +51,36 @@ SKEW = PairEncoding(
 )
 
 
+#: theta = |00> and tau = (|01> + |11>)/sqrt2: a support of three pair
+#: basis states, so the complement of the pair has a direction on the
+#: support, KAPPA, that only the complement rows see.
+THREE = PairEncoding(
+    theta=np.array([[1.0, 0.0], [0.0, 0.0]]),
+    tau=np.array([[0.0, 1.0], [0.0, 1.0]]) / math.sqrt(2),
+)
+KAPPA = np.array([[0.0, 1.0], [0.0, -1.0]]) / math.sqrt(2)
+
+
 def fidelity(a: PureStateVector, b: PureStateVector) -> float:
     return abs(np.vdot(a.amps, b.amps))
+
+
+def pair_product(pairs: list[np.ndarray]) -> np.ndarray:
+    """Amplitudes of the product of the given 2x2 pair states, pair 0
+    first, as a kron chain."""
+    chain = np.ones((1, 1))
+    for pair in pairs:
+        chain = np.kron(chain, pair)
+    return chain.reshape(-1)
 
 
 def kron_reference(strings: list[tuple[int, ...]], enc: PairEncoding) -> np.ndarray:
     """Uniform superposition built string by string as kron chains of pair states."""
     d = 1 << len(strings[0])
-    m = np.zeros((d, d), dtype=np.result_type(enc.theta, enc.tau))
+    m = np.zeros(d * d, dtype=np.result_type(enc.theta, enc.tau))
     for bits in strings:
-        chain = np.ones((1, 1))
-        for b in bits:
-            chain = np.kron(chain, enc.tau if b else enc.theta)
-        m += chain
-    return m.reshape(-1) / math.sqrt(len(strings))
+        m += pair_product([enc.tau if b else enc.theta for b in bits])
+    return m / math.sqrt(len(strings))
 
 
 def max_dev(state: PureStateVector, ref: np.ndarray) -> float:
@@ -77,9 +94,18 @@ def random_pair(seed: int) -> PairEncoding:
     return PairEncoding(theta=q[:, 0].reshape(2, 2), tau=q[:, 1].reshape(2, 2))
 
 
+#: A generic complex pair, nonzero on all four pair basis states.
+RANDOM = random_pair(2029)
+
+#: Every support size: two states (Bell, product, phased), three and four.
+ENCODINGS = [BELL, PROD, PHASED, THREE, SKEW, RANDOM]
+ENCODING_IDS = ["bell", "product", "phased", "three", "skew", "random"]
+
+
 def allocating_from_logical(logical: np.ndarray, n: int, enc: PairEncoding) -> np.ndarray:
-    """oracle._from_logical's amplitudes with a fresh product and a fresh
-    transposed copy at every step."""
+    """The amplitudes of the logical tensor, the full (4, 2) change of
+    basis at every step on all 4^n entries, each step into a fresh product
+    and a fresh transposed copy."""
     a = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)]).T
     t = logical.T.reshape(-1, 1, 1)
     for _ in range(n):
@@ -92,8 +118,8 @@ def allocating_from_logical(logical: np.ndarray, n: int, enc: PairEncoding) -> n
 def round_trip_residual(state: PureStateVector, enc: PairEncoding) -> float:
     """|psi - Pi psi|, Pi psi rebuilt from psi's logical coefficients."""
     logical, _ = oracle._logical_coefficients(state, enc)
-    rebuilt = oracle._from_logical(logical, state.n_pairs, enc)
-    return float(np.linalg.norm(state.amps - rebuilt.amps))
+    rebuilt = allocating_from_logical(logical, state.n_pairs, enc)
+    return float(np.linalg.norm(state.amps - rebuilt))
 
 
 def dense_gate_reference(gate: Gate, n: int) -> np.ndarray:
@@ -269,7 +295,7 @@ class TestKronReference:
 
 
 class TestChangeOfBasis:
-    @pytest.mark.parametrize("enc", [BELL, PROD, PHASED], ids=["bell", "product", "phased"])
+    @pytest.mark.parametrize("enc", ENCODINGS, ids=ENCODING_IDS)
     @pytest.mark.parametrize("n", range(1, oracle.MAX_DENSE_PAIRS + 1))
     def test_logical_round_trip(self, enc, n):
         rng = np.random.default_rng(n)
@@ -277,12 +303,13 @@ class TestChangeOfBasis:
         back, _ = oracle._logical_coefficients(oracle._from_logical(logical, n, enc), enc)
         assert back.shape == logical.shape
         # Each of the n steps out forms every entry as a two-term sum of
-        # complex products, each step back as a four-term one; a K-term sum
-        # is off by at most gamma_{K+2} times the sum of the terms' moduli
-        # (Higham, Lemma 3.5), so one step's rounding has 2-norm at most
-        # gamma_{K+2} |M|_F |t| = gamma_{K+2} sqrt2 |logical|, with M the
-        # step's (4, 2) or (2, 4) matrix.  The steps out are isometries and
-        # those back contractions, so no step amplifies an earlier error.
+        # complex products, each step back as an |S|-term one (S the pair's
+        # support, |S| <= 4); a K-term sum is off by at most gamma_{K+2}
+        # times the sum of the terms' moduli (Higham, Lemma 3.5), so one
+        # step's rounding has 2-norm at most gamma_{K+2} |M|_F |t| =
+        # gamma_{K+2} sqrt2 |logical|, with M the step's (|S|, 2) or (2, |S|)
+        # matrix.  The steps out are isometries and those back contractions,
+        # so no step amplifies an earlier error.
         u = np.finfo(np.float64).eps / 2
 
         def gamma(k: int) -> float:
@@ -292,11 +319,11 @@ class TestChangeOfBasis:
         assert np.linalg.norm(back - logical) <= tol
 
 
-    @pytest.mark.parametrize("enc", [BELL, PROD, PHASED, SKEW],
-                             ids=["bell", "product", "phased", "skew"])
+    @pytest.mark.parametrize("enc", ENCODINGS, ids=ENCODING_IDS)
     def test_buffered_build_is_bit_identical(self, enc):
-        # the same BLAS call on the same operands, into reused buffers; SKEW
-        # tells a pair's B bit from its C bit
+        # the support's rows of the full change of basis, the same BLAS call
+        # on the same operands, then scattered into the B|C matrix; SKEW and
+        # THREE tell a pair's B bit from its C bit
         configs = [(n, k) for n in range(1, 9) for k in range(n + 1)]
         for n, k in configs + [(10, 0), (10, 5), (10, 9)]:
             strings = permutation_strings(n, k)
@@ -316,11 +343,45 @@ class TestChangeOfBasis:
             assert not np.shares_memory(a.amps, b.amps)
 
 
+def traced_peak(f) -> int:
+    """The tracemalloc peak, in bytes, of what f() allocates."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The dense build allocates one zeroed state and works on the support,
+    2^n entries for Bell; the way back copies the state once, for the sum
+    off the support, and drops the copy before the image is built.
+
+    Everything else is per logical string: at most 2^n of them, each with
+    two tuples of n <= 10 small ints (136 bytes each) for the strings and
+    the codebook, and a few 8-byte entries of the logical tensor, the
+    support index and the arrays of the walk, far below 512 bytes."""
+
+    N = 10
+    STATE = 8 * 4**N  # float64 amplitudes
+    PER_STRING = 512 * 2**N
+
+    def test_build_holds_one_state(self):
+        peak = traced_peak(lambda: build_test_state(TestStateSpec(self.N, self.N // 2)))
+        assert peak <= self.STATE + self.PER_STRING
+
+    def test_relabeling_holds_one_state_beyond_its_input(self):
+        state = build_test_state(TestStateSpec(self.N, self.N // 2))
+        peak = traced_peak(lambda: apply_ubc(state, self.N, self.N // 2, BELL))
+        assert peak <= self.STATE + self.PER_STRING
+
+
 class TestSpanResidual:
     """_logical_coefficients' norm outside the theta/tau product span,
     summed pair by pair, against the round trip |psi - Pi psi|."""
 
-    @pytest.mark.parametrize("enc", [BELL, PROD, PHASED], ids=["bell", "product", "phased"])
+    @pytest.mark.parametrize("enc", ENCODINGS, ids=ENCODING_IDS)
     @pytest.mark.parametrize("n", [1, 3, 6, 9])
     def test_matches_round_trip(self, enc, n):
         rng = np.random.default_rng(n)
@@ -356,6 +417,8 @@ class TestSpanResidual:
             apply_ubc(flipped, 10, 5, BELL)
 
     def test_rejects_a_1e9_leak_and_accepts_a_1e12_one(self):
+        # X on a C qubit moves the Bell pair's amplitudes off its support
+        # {00, 11}; a support of two states leaves no other way out
         state = build_test_state(TestStateSpec(6, 3))
         leak = apply_local_circuit(state, (Gate("C", "X", 2),)).amps  # unit, outside
         clean = apply_ubc(state, 6, 3, BELL)
@@ -363,6 +426,21 @@ class TestSpanResidual:
         assert max_dev(out, clean.amps) < 1e-12
         with pytest.raises(ValueError, match="span"):
             apply_ubc(PureStateVector(6, state.amps + 1e-9 * leak), 6, 3, BELL)
+
+    @pytest.mark.parametrize("where", ["on_support", "off_support"])
+    def test_three_state_support_leaks(self, where):
+        # KAPPA on pair 2 stays on THREE's support {00, 01, 11} but leaves
+        # its span, which only the complement rows on the support see; |10>
+        # there is off the support, which only the off-support sum sees
+        state = superpose_strings(permutation_strings(6, 3), THREE)
+        pairs = [THREE.theta] * 6
+        pairs[2] = KAPPA if where == "on_support" else np.array([[0.0, 0.0], [1.0, 0.0]])
+        leak = pair_product(pairs)  # unit, orthogonal to the span
+        clean = apply_ubc(state, 6, 3, THREE)
+        out = apply_ubc(PureStateVector(6, state.amps + 1e-12 * leak), 6, 3, THREE)
+        assert max_dev(out, clean.amps) < 1e-12
+        with pytest.raises(ValueError, match="span"):
+            apply_ubc(PureStateVector(6, state.amps + 1e-9 * leak), 6, 3, THREE)
 
     def test_apply_ubc_builds_only_the_image(self, monkeypatch):
         state = build_test_state(TestStateSpec(5, 2))
