@@ -23,15 +23,19 @@ or, for oracle-check, batch and eof, a numpy that cannot be imported).
 
 Importing this module loads no numpy: fig2 and fig3 are exact integer
 arithmetic and never touch it.  oracle-check imports the dense oracle,
-and batch and eof import numpy, only when they run.  protocol and eof
-are still imported here, at module level, so that tools which wrap the
-package's functions after importing this module find them loaded.  Nor
-does it load dataclasses (and its inspect), json or fractions (and its
-decimal), which no command needs to start: the package's records are
-named tuples, json loads with the first JSON document, and fractions
-with the first Fraction built (AmplitudeTable.xi_sq and
-.normalization()); no command builds one, an inferred fig2 or fig3
-grid step included.  A record copies with
+and batch the batching protocol, inside the command, so no other
+command compiles them; batch and eof import numpy only when they run.
+teststate, exactmath and eof stay module-level imports: fig2, fig3 and
+oracle-check need the first two anyway, perfbench/job.py times `import
+triconc.cli` as set-up and imports teststate right after it (so a lazy
+teststate would only move its cost out of that timing), and eof is
+small and is wrapped by tracers installed after this module is
+imported.  Nor does it load dataclasses (and its inspect), json or
+fractions (and its decimal), which no command needs to start: the
+package's records are named tuples, json loads with the first JSON
+document, and fractions with the first Fraction built
+(AmplitudeTable.xi_sq and .normalization()); no command builds one, an
+inferred fig2 or fig3 grid step included.  A record copies with
 _replace and converts with _asdict, in place of dataclasses.replace and
 asdict, and equals the plain tuple of its fields.
 """
@@ -42,39 +46,81 @@ import argparse
 import itertools
 import math
 import sys
+from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from . import eof as eof_mod
-from . import protocol, teststate
+from . import teststate
 from .exactmath import ordered_sum
+
+if TYPE_CHECKING:
+    from .protocol import BatchConfig
 
 DEFAULT_SEED = 0xC0FFEE
 _CHECK_TOL = 1e-10
 
 
-#: Tokens of the JSON encoder joined into one string at a time.
-_JSON_JOIN = 8192
+#: Rows of a table that _json encodes in one call.
+_JSON_ROWS = 64
 
 
 class UsageError(ValueError):
     """Bad flag value or combination; maps to exit code 2."""
 
 
-def _json(doc: object) -> str:
-    """Strict JSON: a NaN or infinity left in doc raises ValueError.
+def _json(doc: object) -> list[str]:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n" in pieces, strict:
+    a NaN or infinity left in doc raises ValueError.  Keys are str.
 
-    The text is json.dumps(doc, indent=2, sort_keys=True).  With an indent
-    json encodes in Python, one small string per token, and dumps joins a
-    list of all of them at once, several times the text's own size for a
-    batch table; joining them _JSON_JOIN at a time gives the same text
-    from a fraction of that peak.
+    With an indent json encodes in Python, one small string per token.
+    Here json's C encoder does the encoding instead: it takes no indent,
+    but an item separator of ",\n" plus the items' indent.  A dict or
+    list of scalars is one call, its brackets then put on their own
+    lines, and a container that holds containers is written item by
+    item.  An iterator in doc stands for a list of the rows of a
+    table, non-empty dicts of scalars; they are encoded _JSON_ROWS at a
+    time as one list, whose seams "},\n<indent>{" between rows are then
+    rewritten to the indented form.  Only those are seams: a raw newline
+    occurs only in a separator, since JSON escapes it in strings.  All
+    the pieces are made before the caller writes any.
     """
     import json  # here: CSV, the default of every table, needs none
 
-    tokens = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(doc)
-    parts = []
-    while part := "".join(itertools.islice(tokens, _JSON_JOIN)):
-        parts.append(part)
-    return "".join(parts) + "\n"
+    def encode(obj: object, depth: int) -> str:
+        # obj with its items, if any, indented to depth
+        return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                separators=(",\n" + "  " * depth, ": ")).encode(obj)
+
+    def pieces(obj: object, depth: int) -> Iterator[str]:
+        # obj with its closing bracket, if any, indented to depth
+        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if isinstance(obj, Iterator):  # a table's rows
+            item, head = inner + "  ", "["
+            while group := list(itertools.islice(obj, _JSON_ROWS)):
+                text = encode(group, depth + 2)[2:-2].replace(
+                    "}," + item + "{", inner + "}," + inner + "{" + item)
+                yield head + inner + "{" + item + text + inner + "}"
+                head = ","
+            yield "[]" if head == "[" else outer + "]"
+            return
+        items = obj.values() if isinstance(obj, dict) else obj
+        if not (obj and isinstance(obj, (dict, list, tuple))):
+            yield encode(obj, depth)  # a scalar, {} or []
+        elif not any(isinstance(v, (dict, list, tuple, Iterator)) for v in items):
+            text = encode(obj, depth + 1)
+            yield text[0] + inner + text[1:-1] + outer + text[-1]
+        else:
+            is_dict = isinstance(obj, dict)
+            keyed = ([(encode(k, 0) + ": ", v) for k, v in sorted(obj.items())]
+                     if is_dict else [("", v) for v in obj])
+            head = "{" if is_dict else "["
+            for key, value in keyed:
+                yield head + inner + key
+                yield from pieces(value, depth + 1)
+                head = ","
+            yield outer + ("}" if is_dict else "]")
+
+    return [*pieces(doc, 0), "\n"]
 
 
 def _null_nan(v: object) -> object:
@@ -82,17 +128,18 @@ def _null_nan(v: object) -> object:
 
 
 def _render(schema: str, fmt: str, header: list[str], rows: list[list[object]],
-            summary: dict[str, float] | None = None) -> str:
+            summary: dict[str, float] | None = None) -> list[str]:
     """A table as CSV, or as a JSON document with the same rows and each
-    NaN as null.
+    NaN as null, in the pieces that _emit writes.
 
     A summary goes under "summary" in JSON and into a trailing CSV row
-    padded to the header's width.
+    padded to the header's width.  CSV is one piece; JSON is _json's
+    pieces, each row's dict built just before its group is encoded.
     """
     if fmt == "json":
         doc: dict[str, object] = {
             "schema": f"{schema}/1",
-            "rows": [dict(zip(header, map(_null_nan, row))) for row in rows],
+            "rows": (dict(zip(header, map(_null_nan, row))) for row in rows),
         }
         if summary is not None:
             doc["summary"] = {k: _null_nan(v) for k, v in summary.items()}
@@ -103,15 +150,17 @@ def _render(schema: str, fmt: str, header: list[str], rows: list[list[object]],
     lines = [f"# schema={schema}/1", ",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def _emit(text: str, out: str) -> None:
+def _emit(pieces: list[str], out: str) -> None:
+    """Write the pieces of a dataset or report to out ("-": stdout) one
+    after another, never joined into one string."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _grid(p: float, n_max: int, step: int | None = None) -> range:
@@ -270,9 +319,11 @@ def cmd_oracle_check(n_max: int) -> tuple[dict[str, object], int]:
 
 # ---------------------------------------------------------------- batch
 
-def cmd_batch(cfg: protocol.BatchConfig, trials: int) -> tuple[
+def cmd_batch(cfg: BatchConfig, trials: int) -> tuple[
     list[str], list[list[object]], dict[str, float]
 ]:
+    from .protocol import run_trials
+
     if trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
     header = ["trial", "m_batches", "l", "eps_prime", "n_total",
@@ -280,7 +331,7 @@ def cmd_batch(cfg: protocol.BatchConfig, trials: int) -> tuple[
     rows: list[list[object]] = []
     m_values = []
     for trial, (stats, truncated) in enumerate(
-            protocol.run_trials(cfg, range(trials))):
+            run_trials(cfg, range(trials))):
         rows.append([
             trial, stats.m_batches, stats.l, stats.eps_prime,
             stats.n_total, stats.gamma_entropy_bound,
@@ -300,6 +351,8 @@ def cmd_batch(cfg: protocol.BatchConfig, trials: int) -> tuple[
 def _run_batch(args: argparse.Namespace) -> tuple[
     list[str], list[list[object]], dict[str, float]
 ]:
+    from . import protocol  # the only command that walks batching runs
+
     try:
         cfg = protocol.BatchConfig(n=args.n, p=args.p, epsilon=args.epsilon,
                                    seed=args.seed)
@@ -406,10 +459,10 @@ def main(argv: list[str] | None = None) -> int:
         result = args.run(args)
         if isinstance(result[0], dict):  # oracle-check's (report, exit code)
             report, code = result
-            text = _json(report)
+            pieces = _json(report)
         else:
-            code, text = 0, _render(args.command, args.format, *result)
-        _emit(text, args.out)
+            code, pieces = 0, _render(args.command, args.format, *result)
+        _emit(pieces, args.out)
     except (UsageError, OSError) as exc:  # OSError: --out cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ draws and its own sequential sum, and the rows only share the table of
 C(n, k), whose entries do not depend on who asked first.  The streams
 are numpy's: run i's is PCG64 seeded by SeedSequence([seed, i]), and its
 k equal Generator.binomial(n, p)'s on that stream.  run_trials gets both
-in bulk (_generators hashes the seeds of a chunk of runs at once;
+in bulk (_seed_words hashes the seeds of a group of runs at once;
 _Sampler decodes the draws from the same uniform doubles numpy's sampler
 reads) and imports numpy when it is first called, not at import.
 """
@@ -63,6 +63,9 @@ _FIRST_BLOCK = 16
 
 #: Runs that run_trials walks together, one row of each block per run.
 _CHUNK = 64
+
+#: Runs whose seeds run_trials hashes together (_seed_words).
+_SEED_GROUP = 16 * _CHUNK
 
 #: Rows of at most this many k get their exact D_M as the product in
 #: order; longer rows a Horner bracket (_Ranks.bracket).
@@ -191,9 +194,11 @@ def run_trials(
 
     The draws are numpy's own, got in bulk.  Run i's generator is PCG64
     seeded with the state words of SeedSequence([seed, i]), whose hash
-    _generators computes for the whole chunk at once.  Where numpy draws
-    by inversion, n min(p, 1 - p) <= 30, each k is decoded from the
-    double rng.random gives, the one numpy's loop reads: that loop
+    _seed_words computes for a group of _SEED_GROUP runs at once; the
+    generators themselves are made chunk by chunk.  The k are held in
+    the smallest signed int dtype that holds n (_Sampler.dtype).  Where
+    numpy draws by inversion, n min(p, 1 - p) <= 30, each k is decoded
+    from the double rng.random gives, the one numpy's loop reads: that loop
     subtracts fixed pmf steps from the double U until what is left is at
     most the next step, and rounded subtraction is monotone, so the X it
     stops at is monotone in U and X = #{x : U > T_x} for thresholds T_x
@@ -202,7 +207,7 @@ def run_trials(
     numpy restarts, yields no k and the run's row is topped up from its
     stream.  Configs numpy draws by BTPE, and p in {0, 1}, call
     rng.binomial.  A run index that is not an integer >= 0 raises
-    ValueError, naming it, before its chunk draws anything.
+    ValueError, naming it, before its group is seeded.
 
     delta = 1e-6 is a wide bound on the error of s.  Before the switch
     D_M < 2^_EXACT_BITS, so log2 D_M < 10^4 < 2^14 and each of at most
@@ -220,8 +225,10 @@ def run_trials(
     ranks = _Ranks(cfg.n)
     sampler = _Sampler(cfg.n, cfg.p)
     indices = iter(run_indices)
-    while chunk := [_run_index(i) for i in itertools.islice(indices, _CHUNK)]:
-        yield from _walk(cfg, chunk, ranks, sampler)
+    while group := [_run_index(i) for i in itertools.islice(indices, _SEED_GROUP)]:
+        words = _seed_words(cfg.seed, group)
+        for at in range(0, len(group), _CHUNK):
+            yield from _walk(cfg, words[at:at + _CHUNK], ranks, sampler)
 
 
 class _Ranks:
@@ -327,9 +334,9 @@ class _Ranks:
 
 
 def _walk(
-    cfg: BatchConfig, run_indices: list[int], ranks: _Ranks, sampler: _Sampler
+    cfg: BatchConfig, words: np.ndarray, ranks: _Ranks, sampler: _Sampler
 ) -> list[tuple[BatchRunStats, bool]]:
-    """run_trials on one chunk of runs."""
+    """run_trials on one chunk of runs, given their rows of _seed_words."""
     import numpy as np  # here, so that importing the module loads no numpy
 
     exact_bits, max_batches = _EXACT_BITS, _MAX_BATCHES
@@ -337,13 +344,13 @@ def _walk(
     window = math.log2(1.0 + epsilon) + _DELTA
     wrap = 1.0 - _DELTA
     near_switch = exact_bits - _DELTA
-    results: list = [None] * len(run_indices)
+    results: list = [None] * len(words)
     # One row per live run: its result slot, stream, k so far, float sum s
     # and whether it has switched to floats.  Rows of stopped runs are
     # dropped after each block.
-    slots = list(range(len(run_indices)))
-    rngs = _generators(cfg.seed, run_indices)
-    ks = np.empty((len(rngs), 0), dtype=np.int64)
+    slots = list(range(len(words)))
+    rngs = _generators(words)
+    ks = np.empty((len(rngs), 0), dtype=sampler.dtype)
     carry = np.zeros(len(rngs))
     switched = np.zeros(len(rngs), dtype=bool)
     drawn, size = 0, _FIRST_BLOCK
@@ -483,28 +490,32 @@ class _SeedWords:
         return self.words
 
 
-def _generators(seed: int, run_indices: list[int]) -> list[np.random.Generator]:
-    """np.random.default_rng([seed, i]) for each i of run_indices.
+def _seed_words(seed: int, run_indices: list[int]) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) in row r for
+    the r-th i of run_indices, as a (runs, 4) uint64 array.
 
-    default_rng([seed, i]) seeds PCG64 with
-    SeedSequence([seed, i]).generate_state(4, np.uint64), a hash of the
-    entropy words (seed's uint32 words, then i's) whose multipliers do
-    not depend on the words.  So the runs with equally many words share
-    every step, one uint32 array op each, and each run's 4 state words
-    go to PCG64 directly.
+    That is a hash of the entropy words (seed's uint32 words, then i's)
+    whose multipliers do not depend on the words.  So the runs with
+    equally many words share every step, one uint32 array op each.
     """
     import numpy as np
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_SeedWords)
     entropy = [_uint32_words(seed) + _uint32_words(i) for i in run_indices]
     state = np.empty((len(entropy), 2 * _POOL), dtype=np.uint32)
     for width in set(map(len, entropy)):
         rows = [r for r, words in enumerate(entropy) if len(words) == width]
         columns = np.array([entropy[r] for r in rows], dtype=np.uint32).T
         state[rows] = _seed_state(columns).T
-    words = state.astype("<u4").view("<u8").astype(np.uint64)  # as generate_state
+    return state.astype("<u4").view("<u8").astype(np.uint64)  # as generate_state
+
+
+def _generators(words: np.ndarray) -> list[np.random.Generator]:
+    """A Generator on PCG64 seeded with each row of _seed_words: for the
+    row of run i, np.random.default_rng([seed, i])."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
     return [Generator(PCG64(_SeedWords(row))) for row in words]
 
 
@@ -566,6 +577,9 @@ class _Sampler:
         import numpy as np
 
         self.n, self.p = n, p
+        # the smallest signed int dtype that holds every k in [0, n]
+        self.dtype = next((np.dtype(t) for t in (np.int8, np.int16, np.int32)
+                           if np.iinfo(t).max >= n), np.dtype(np.int64))
         self.flip = p > 0.5
         # numpy's random_binomial_inversion, replayed in its operation order:
         # X at p_inv = min(p, 1 - p), q^n, bound and the pmf recurrence px
@@ -595,12 +609,13 @@ class _Sampler:
         ), dtype=np.uint8)
 
     def draw(self, rngs: list, draws: int) -> np.ndarray:
-        """The (len(rngs), draws) int64 array of rngs[r].binomial(n, p,
-        size=draws) in row r."""
+        """The (len(rngs), draws) array of rngs[r].binomial(n, p,
+        size=draws) in row r, of dtype self.dtype."""
         import numpy as np
 
         if self.table is None:
-            return np.stack([rng.binomial(self.n, self.p, size=draws) for rng in rngs])
+            rows = [rng.binomial(self.n, self.p, size=draws) for rng in rngs]
+            return np.stack(rows).astype(self.dtype)
         u = np.empty((len(rngs), draws))
         for row, rng in zip(u, rngs):
             rng.random(out=row)
@@ -612,7 +627,7 @@ class _Sampler:
                 more = self._decode(rngs[r].random(draws - row.size))
                 row = np.concatenate((row, more[more <= self.bound]))
             x[r] = row
-        x = x.astype(np.int64)
+        x = x.astype(self.dtype)
         return self.n - x if self.flip else x
 
     def _decode(self, u: np.ndarray) -> np.ndarray:

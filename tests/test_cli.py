@@ -10,6 +10,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -392,15 +393,77 @@ class TestBatch:
         assert strict_json(text)["summary"]["stderr_m"] is None
 
     def test_json_text_is_that_of_dumps(self, monkeypatch):
-        # _json joins the encoder's tokens _JSON_JOIN at a time
-        monkeypatch.setattr(cli, "_JSON_JOIN", 7)
+        # _render encodes a table's rows _JSON_ROWS at a time
+        monkeypatch.setattr(cli, "_JSON_ROWS", 7)
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.1, seed=3)
         header, rows, summary = cli.cmd_batch(cfg, trials=40)
-        doc = {"schema": "batch/1", "rows": [dict(zip(header, row)) for row in rows],
-               "summary": summary, "empty": [{}, []], "text": "τ"}
-        assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        table = {"schema": "batch/1", "rows": [dict(zip(header, row)) for row in rows],
+                 "summary": summary}
+        text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+        assert "".join(cli._render("batch", "json", header, rows, summary)) == text
+        doc = {**table, "empty": [{}, []], "text": "τ"}
+        assert "".join(cli._json(doc)) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         with pytest.raises(ValueError):
             cli._json({"rows": [1.0, math.nan]})
+
+
+#: Text with the characters JSON escapes or the writer's seams are made of.
+TEXT = st.text(st.sampled_from(list('a"\\\n\t}{,: τ€😀')) | st.characters(), max_size=8)
+
+#: Scalars that json.dumps spells in its own ways: edge floats, ints past
+#: 64 bits, bools, null and text that needs escapes.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.just(2**70),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308]),
+    TEXT,
+)
+
+#: Nested reports, as oracle-check's: dicts and lists of scalars and of each other.
+REPORTS = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+def _dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+class TestJsonWriter:
+    """_json's pieces, and those of a table's JSON, join to json.dumps's text."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), group=st.sampled_from([1, 2, 5]))
+    def test_table_is_that_of_dumps(self, data, group):
+        # tables of 0, 1, G - 1, G, G + 1 and 2G + 1 rows for G = _JSON_ROWS
+        header = data.draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+        size = data.draw(st.sampled_from([0, 1, group - 1, group, group + 1, 2 * group + 1]))
+        cell = SCALARS | st.just(math.nan)
+        rows = data.draw(st.lists(st.lists(cell, min_size=len(header), max_size=len(header)),
+                                  min_size=size, max_size=size))
+        summary = data.draw(st.none() | st.dictionaries(TEXT, cell, max_size=3))
+
+        def null(v):
+            return None if isinstance(v, float) and math.isnan(v) else v
+
+        doc = {"schema": "t/1", "rows": [dict(zip(header, map(null, row))) for row in rows]}
+        if summary is not None:
+            doc["summary"] = {k: null(v) for k, v in summary.items()}
+        with mock.patch.object(cli, "_JSON_ROWS", group):
+            pieces = cli._render("t", "json", header, rows, summary)
+        assert "".join(pieces) == _dumps(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=REPORTS)
+    def test_report_is_that_of_dumps(self, doc):
+        assert "".join(cli._json(doc)) == _dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        math.nan, [math.inf], {"a": {"b": [1, -math.inf]}},
+        {"z": [{"k": 0.0}] * 100 + [{"k": math.nan}]},
+    ])
+    def test_nan_in_report_raises(self, doc):
+        with pytest.raises(ValueError):
+            cli._json(doc)
 
 
 class TestEof:
@@ -481,6 +544,17 @@ class TestUsage:
         code, text = run_cli(["eof", "--p-list", "0.5"], tmp_path)
         assert code == 3
         assert text == ""
+        assert capsys.readouterr().err.startswith("internal error: ")
+
+    def test_late_nan_in_report_writes_no_partial_out(self, tmp_path, monkeypatch, capsys):
+        # every piece of the report is encoded before --out is opened, so a
+        # NaN after hundreds of good entries leaves no file behind
+        report = {"entries": [{"k": k, "delta": 0.0} for k in range(500)],
+                  "worst": math.nan}
+        monkeypatch.setattr(cli, "cmd_oracle_check", lambda n_max: (report, 0))
+        path = tmp_path / "r.json"
+        assert cli.main(["oracle-check", "--out", str(path)]) == 3
+        assert not path.exists()
         assert capsys.readouterr().err.startswith("internal error: ")
 
     def test_nan_in_report_exits_3(self, tmp_path, monkeypatch, capsys):

@@ -80,10 +80,10 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, env=env, timeout=120)
 
 
-def test_cli_import_loads_no_numpy():
-    # protocol and eof stay module-level imports of cli, so that a tracer
-    # installed after `import triconc.cli` finds them; numpy and the dense
-    # oracle load only when a command that needs them runs
+def test_cli_import_loads_no_numpy(tmp_path):
+    # eof stays a module-level import of cli, so that a tracer installed
+    # after `import triconc.cli` finds it; numpy, the dense oracle and the
+    # batching protocol load only when a command that needs them runs
     proc = _python(
         "import sys, triconc.cli\n"
         "triconc.cli._build_parser()\n"
@@ -93,8 +93,14 @@ def test_cli_import_loads_no_numpy():
         # json and fractions load where a document or a Fraction is made
         "dataclasses", "inspect", "json", "fractions", "decimal")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"False", b"False", b"True", b"True",
+    assert proc.stdout.split() == [b"False", b"False", b"False", b"True",
                                    b"False", b"False", b"False", b"False", b"False"]
+    proc = _python(
+        "import sys\nfrom triconc.cli import main\n"
+        "print(main(sys.argv[1:]), 'triconc.protocol' in sys.modules)",
+        "batch", "--epsilon", "0.1", "--trials", "2", "--out", str(tmp_path / "b.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0", b"True"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -416,8 +416,12 @@ class TestMatchesReference:
         order = list(range(100))
         random.Random(chunk).shuffle(order)
         expected = [_reference_run_batches(cfg, run) for run in order]
-        assert _walked(cfg, order) == expected
-        assert _walked(cfg, iter(order)) == expected  # any iterable, consumed lazily
+        # seed groups of the default size, of 7 and of 50 runs: 7 and 50 are
+        # no multiple of 3 or 64, so a group can end in a short chunk
+        for group in (protocol._SEED_GROUP, 7, 50):
+            monkeypatch.setattr(protocol, "_SEED_GROUP", group)
+            assert _walked(cfg, order) == expected, group
+            assert _walked(cfg, iter(order)) == expected  # any iterable, consumed lazily
 
 
 @settings(max_examples=100, deadline=None)
@@ -467,38 +471,38 @@ def test_open_brackets_decide_nothing():
 
 
 class TestGenerators:
-    """_generators gives every run the stream of default_rng([seed, i])."""
+    """_generators on the rows of _seed_words gives every run the stream
+    of default_rng([seed, i])."""
 
     @pytest.mark.parametrize("seed", [0, 0xC0FFEE, 2**64 + 1, 2**200])
     def test_seeding_word_for_word(self, seed):
         # 2^32 and 2^40 have two entropy words where the others have one
         indices = [0, 1, 2**32 - 1, 2**32, 2**40, 7]
-        for i, rng in zip(indices, protocol._generators(seed, indices)):
+        rngs = protocol._generators(protocol._seed_words(seed, indices))
+        for i, rng in zip(indices, rngs, strict=True):
             words = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
             assert rng.bit_generator.seed_seq.words.tolist() == words.tolist(), i
             ref = np.random.default_rng([seed, i])
             assert rng.bit_generator.state == ref.bit_generator.state, i
             assert rng.random(4).tolist() == ref.random(4).tolist(), i
 
-    @pytest.mark.parametrize("size", [1, 15, 16, protocol._CHUNK])
+    @pytest.mark.parametrize("size", [1, 15, 16, protocol._CHUNK, protocol._SEED_GROUP])
     @pytest.mark.parametrize("seed", [0, 0xC0FFEE, 2**200])
     def test_both_routes_give_the_same_words(self, seed, size):
         # the bulk hash and SeedSequence itself agree at every chunk size,
-        # a short last chunk included; one- and two-word run indices, so
-        # the bulk hash has both widths
+        # a short last chunk included, and over a whole seed group;
+        # one- and two-word run indices, so the bulk hash has both widths
         indices = [(2**32 + r if r % 3 else r) for r in range(size)]
         want = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64).tolist()
                 for i in indices]
-        got = [rng.bit_generator.seed_seq.words.tolist()
-               for rng in protocol._generators(seed, indices)]
-        assert got == want
+        assert protocol._seed_words(seed, indices).tolist() == want
 
     @pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
     def test_bad_run_index_rejected_before_any_draw(self, monkeypatch, bad):
         def no_draws(seed, run_indices):
-            raise AssertionError("drew before checking the run indices")
+            raise AssertionError("seeded before checking the run indices")
 
-        monkeypatch.setattr(protocol, "_generators", no_draws)
+        monkeypatch.setattr(protocol, "_seed_words", no_draws)
         cfg = BatchConfig(n=20, p=0.5, epsilon=0.1)
         with pytest.raises(ValueError, match="run index") as err:
             list(run_trials(cfg, [0, bad]))
@@ -572,9 +576,12 @@ class TestSampler:
         sampler = protocol._Sampler(n, p)
         ours = [np.random.default_rng([5, r]) for r in range(runs)]
         ref = [np.random.default_rng([5, r]) for r in range(runs)]
+        # the smallest signed int dtype that holds n
+        dtype = np.int8 if n < 2**7 else np.int16 if n < 2**15 else np.int32
+        assert sampler.dtype == dtype
         for size in sizes:
             block = sampler.draw(ours, size)
-            assert block.dtype == np.int64
+            assert block.dtype == dtype
             assert block.tolist() == [rng.binomial(n, p, size=size).tolist() for rng in ref]
         for a, b in zip(ours, ref):  # and each stream is left where numpy leaves it
             assert a.bit_generator.state == b.bit_generator.state
