@@ -9,9 +9,9 @@ Everything downstream leans on five guarantees made here:
   evaluated in exact integer arithmetic, because they cancel massively
   (for n of a few hundred the terms dwarf the result by hundreds of
   orders of magnitude and any float path returns garbage);
-* log2 of a huge integer goes through bit_length plus a mantissa that
-  fits a float exactly, so it stays accurate to ~1e-15 absolute no
-  matter how many thousands of bits the integer has;
+* log2 of a huge integer goes through bit_length plus a 54-bit
+  mantissa, off by at most half an ulp of the result plus 7.4e-15
+  (log2_big), so the error grows with the integer's bit count;
 * each weight of an entropy (entropy_terms) is the exact int ratio,
   rounded once, and each log2 that of log2_big; both are decided from
   the leading bits of their integers when those settle them, and from
@@ -74,12 +74,13 @@ def binomial_row(n: int) -> list[int]:
 
 
 def log2_big(x: int) -> float:
-    """log2 of a positive arbitrary-precision integer.
+    """log2 of a positive arbitrary-precision integer, far beyond float
+    range too: shift + log2(m), m the leading 54 bits of x.
 
-    Splits x into (mantissa, shift) with a 54-bit mantissa, which a float
-    represents exactly; the truncation error is below 2**-53 relative,
-    i.e. ~1.6e-16 absolute in the logarithm.  Works for integers far
-    beyond float range.
+    Off by at most 2^-52 / ln 2 (float(m) rounds m to 53 bits, within 2 of
+    x / 2^shift >= 2^53), plus 2^-47 (libm's log2, taken as one ulp on
+    [53, 54)), plus half an ulp of the result (the sum): 4.5e-13 at 6000
+    bits.
     """
     if x <= 0:
         raise ValueError(f"log2_big requires a positive integer, got {x}")

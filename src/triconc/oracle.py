@@ -10,15 +10,14 @@ the B|C cut wants.
 
 The module knows nothing about closed forms: it builds permutation test
 states explicitly, takes Schmidt spectra (as plain arrays of
-probabilities) block by block, from the Gram matrix of each block that
-the nonzero pattern of the B|C matrix splits it into (for a pattern with
-at most one nonzero per row and column, as every stock-encoded state
-has, straight off the squared entries), applies the
-compression relabeling as an explicit change of basis, and simulates
-one-sided circuits (tuples of :class:`Gate`) gate by gate: each gate's
-2x2 (or, for CNOT, 4x4) matrix is contracted with the qubit axes it acts
-on, so no operator as large as the state is ever formed.  Single
-strings and test states are uniform superpositions of strings
+probabilities) straight off the squared entries of the B|C matrix M when
+it has at most one nonzero per row and column, as every stock-encoded
+state's has, and otherwise from one ``eigvalsh`` of rho_B = M M^dagger,
+applies the compression relabeling as an explicit change of basis, and
+simulates one-sided circuits (tuples of :class:`Gate`) gate by gate:
+each gate's 2x2 (or, for CNOT, 4x4) matrix is contracted with the qubit
+axes it acts on, so no operator as large as the state is ever formed.
+Single strings and test states are uniform superpositions of strings
 (:func:`superpose_strings`), and every state, relabeled images too, is
 built the same way: a ``(2,)*n`` tensor of logical theta/tau
 coefficients mapped to amplitudes by that change of basis, applied pair
@@ -272,91 +271,26 @@ def _bell() -> PairEncoding:
     return PairEncoding.bell()
 
 
-def _block_labels(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Label every row and column of a (d, d) boolean pattern with the
-    smallest column index of its block, a connected component of the
-    bipartite graph whose edges are the True entries; all-zero rows and
-    columns get d."""
-    d = nz.shape[1]
-    col = np.arange(d, dtype=np.min_scalar_type(d))
-    while True:
-        # Min-label propagation column -> row -> column, then a pointer jump.
-        # A label only falls and always names a column of the same block, so
-        # a round that changes nothing has reached the blocks' minima.
-        row = np.minimum.reduce(np.broadcast_to(col, nz.shape), axis=1,
-                                where=nz, initial=d)
-        reached = np.minimum.reduce(np.broadcast_to(row[:, None], nz.shape), axis=0,
-                                    where=nz, initial=d)
-        new = np.minimum(reached, col)
-        new = new[new]
-        if np.array_equal(new, col):
-            return row, np.where(reached < d, col, d)
-        col = new
-
-
-def _grouped(label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Indices whose label is below len(label), grouped by label in ascending
-    # order (each group ascending too), with each group's start and size.
-    order = np.argsort(label, kind="stable")
-    order = order[label[order] < len(label)]
-    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
-    return order, start, size
-
-
-def _block_eigenvalues(m: np.ndarray, nz: np.ndarray) -> np.ndarray:
-    # The Gram eigenvalues of every block of m, nz its nonzero pattern,
-    # unsorted: blocks of equal shape go through one stacked eigvalsh.
-    d = m.shape[0]
-    row_label, col_label = _block_labels(nz)
-    # Every block has a row and a column, so both sides list the same labels.
-    rows, row_start, height = _grouped(row_label)
-    cols, col_start, width = _grouped(col_label)
-    parts = []
-    for h, w in set(zip(height.tolist(), width.tolist())):
-        if h == w == d:  # one block over all of M, rows and columns in order
-            blocks = m[None]
-        else:
-            same = (height == h) & (width == w)
-            r = rows[row_start[same][:, None] + np.arange(h)]
-            c = cols[col_start[same][:, None] + np.arange(w)]
-            blocks = m[r[:, :, None], c[:, None, :]]
-        adj = blocks.conj().swapaxes(1, 2)  # for real blocks, a view of them
-        parts.append(np.linalg.eigvalsh(blocks @ adj if h <= w else adj @ blocks).ravel())
-    return np.concatenate(parts)
-
-
 def schmidt_spectrum(state: PureStateVector) -> np.ndarray:
     """Schmidt probabilities across B|C: the eigenvalues of the reduced
     density matrix rho_B = M M^dagger above 1e-14, in descending order
-    (float64), taken block by block.
-
-    The nonzero pattern of M is a bipartite graph of rows and columns;
-    its connected components split M, up to a permutation of rows and of
-    columns, into blocks B_b on the diagonal, so rho_B is the direct sum
-    of the Gram matrices B_b B_b^dagger.  Each block contributes the
-    eigenvalues of its smaller Gram matrix (B_b^dagger B_b when it is the
-    smaller one; both share their nonzero eigenvalues), and blocks of
-    equal shape go through one stacked ``eigvalsh`` call.  A generic
-    dense state is one block and is used without a copy.
+    (float64).
 
     A monomial M (a permuted diagonal: at most one nonzero in every row
     and every column, i.e. as many nonzero entries as nonzero rows and as
-    nonzero columns) has only 1x1 blocks, and its probabilities are read
-    off the entries as v conj(v), with no block labels and no
-    ``eigvalsh``.  A state in span{|00>, |11>} per pair has a diagonal M,
-    so every state the stock encodings build (test states, relabeled
-    images, codeword superpositions) is monomial.  The floats are the
-    block route's: a 1x1 Gram matrix holds the rounded product v conj(v),
-    LAPACK returns the eigenvalue of a 1x1 matrix as its entry, and the
-    sort and the cut are shared.
+    nonzero columns) has rho_B diagonal, and its probabilities are read
+    off the entries as v conj(v), with no ``eigvalsh``.  A state in
+    span{|00>, |11>} per pair has a diagonal M, so every state the stock
+    encodings build (test states, relabeled images, codeword
+    superpositions) is monomial.  Each probability is then |v|^2 to a few
+    ulps.
 
-    Each Gram matrix is Hermitian with trace |B_b|_F^2 <= 1, so by Weyl's
-    bound each eigenvalue is off by at most the rounding in forming it
-    plus the Hermitian solver's backward error, both O(d_b eps) for a
-    block of side d_b (the longer of its two); d_b <= d = 2^n, so no
-    probability is less accurate than from the full rho_B.  Squaring a
-    block's condition number costs digits in its singular values, not in
-    these probabilities.
+    Every other M goes through one ``eigvalsh`` of the full d x d rho_B,
+    d = 2^n.  rho_B is Hermitian with trace |M|_F^2 = 1; forming it rounds
+    each entry by O(d eps) (a length-d dot product), and the Hermitian
+    solver is backward stable, so by Weyl's bound each probability is off
+    by O(d eps) absolute.  Squaring M's condition number costs digits in
+    its singular values, not in these probabilities.
     """
     if not abs(state.norm() - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError(f"state is not normalized: |amps| = {state.norm()}")
@@ -367,7 +301,7 @@ def schmidt_spectrum(state: PureStateVector) -> np.ndarray:
         v = m[nz]
         probs = (v * v.conj()).real.astype(np.float64, copy=False)
     else:
-        probs = _block_eigenvalues(m, nz)
+        probs = np.linalg.eigvalsh(m @ m.conj().T)
     probs = np.sort(probs)[::-1]
     return probs[probs > 1e-14]
 

@@ -1,5 +1,5 @@
-"""References shared by the tests: the direct O(n) route to one S_i, and
-the squaring route to the test-state entropy.
+"""References shared by the tests: the direct O(n) route to one S_i, the
+squaring route to the test-state entropy, and a 60-digit Decimal e_in.
 
 The library computes S_0 .. S_n by a three-term recurrence
 (:func:`triconc.exactmath.half_inner_sums`); inner_sum is the definition
@@ -7,10 +7,14 @@ it is checked against, one alternating binomial sum per weight.
 
 The library's entropy squares no S_i where its leading bits settle the
 term; squaring_entropy squares every S_i and reads the weight's and
-log2_big's leading bits from the square.
+log2_big's leading bits from the square.  decimal_e_in shares neither
+float algorithm: it is the same entropy in 60-digit Decimal logarithms,
+so it is not bit-identical to the library by design, and e_in_bound says
+how far apart the two may be.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 from triconc.exactmath import binomial_row, inner_sum_table, log2_big, ordered_sum
 
@@ -69,3 +73,62 @@ def squaring_entropy(n: int, k: int) -> float:
         terms.append(-(weight * (log2_big(w) - log2_total)))
     mirrored = terms if n & 1 else terms[:-1]
     return ordered_sum(terms + mirrored[::-1])
+
+
+def decimal_e_in(n: int, k: int) -> Decimal:
+    """The (n, k) test-state entropy in bits, in 60-digit Decimal:
+
+        e_in = [ln T - sum_i C(n, i) S_i^2 ln(S_i^2) / T] / ln 2,
+
+    T = 2^n C(n, k), from inner_sum_table's integers and math.comb.  The
+    weights C(n, i) S_i^2 / T sum to 1 exactly (checked in integers), which
+    takes ln T out of the sum.  Every Decimal step rounds to 60 digits
+    (ln correctly), so the result is off by far less than 1e-50."""
+    s = inner_sum_table(n, k)
+    total = s[0] << n
+    if sum(math.comb(n, i) * v * v for i, v in enumerate(s)) != total:
+        raise ArithmeticError(f"weights of ({n}, {k}) do not sum to 1")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln = {}  # ln S_i^2 for each |S_i|, once: S_{n-i} = +-S_i
+        acc = Decimal(0)
+        for i, v in enumerate(s):
+            if v:
+                w = v * v
+                if w not in ln:
+                    ln[w] = Decimal(w).ln()
+                acc += Decimal(math.comb(n, i) * w) / total * ln[w]
+        return (Decimal(total).ln() - acc) / Decimal(2).ln()
+
+
+def e_in_bound(n: int, e: float) -> float:
+    """How far the library's float e_in of an (n, k) test state, e, may be
+    from the exact entropy, u = 2^-53 the unit roundoff.  The library adds
+    the terms t_i = -W_i (L_i - L_T) over weights i = 0..n, with
+    W_i = C(n, i) S_i^2 / T, L_i = log2 S_i^2 and L_T = log2 T
+    (T = 2^n C(n, k)):
+
+    - W_i is the exact ratio rounded once: relative error u.  (A weight
+      below 2^-1022 is off by at most 2^-1075 absolute; times |L_i - L_T|
+      <= 2n + 1 that is below 2^-1050 a term, nothing at this scale.)
+    - L_i and log2 C(n, k) are log2_big's, each within 2^-52 / ln 2 + 2^-47
+      + ulp / 2 of its result (exactmath.log2_big); L_T = n + log2 C(n, k)
+      rounds once more, and so does the difference L_i - L_T.  Each of
+      these is at most |L_T| <= 2n + 1 in size, so the difference is off by
+      at most 2 (2^-52 / ln 2 + 2^-47) + 2 ulp(2n + 1).
+    - The product rounds once: relative error u.
+
+    The weights sum to 1 and sum_i W_i |L_i - L_T| = e_in, so the terms'
+    errors add to at most 2u e_in plus the difference's bound above.  The
+    terms are non-negative and added one by one, left to right (n
+    additions after the first), so the sum adds at most n u (1 + n u) e_in
+    (Higham, sec. 4.2).  The first-order total, with one more u e_in for the
+    second-order products, is
+
+        (n + 3) u e_in + 2 (2^-52 / ln 2 + 2^-47) + 2 ulp(2n + 1),
+
+    taken here with e_in = e + 1e-9 (e is within far less of e_in)."""
+    u = 2.0**-53
+    e_abs = abs(e) + 1e-9
+    return ((n + 3) * u * (1 + n * u) * e_abs
+            + 2 * (2.0**-52 / math.log(2) + 2.0**-47) + 2 * math.ulp(2.0 * n + 1))

@@ -10,7 +10,7 @@ ordered_sum against a compensated sum that would round differently.
 import math
 import random
 from collections import Counter
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +227,23 @@ class TestLog2Big:
     def test_big_value_against_log_sum(self):
         expected = sum(math.log2(700 + i) - math.log2(i) for i in range(1, 301))
         assert abs(log2_big(binom(1000, 300)) - expected) < 1e-8
+
+    def test_within_derived_bound_of_decimal(self):
+        # log2_big's bound (its docstring derives it): 2^-52 / ln 2 for the
+        # mantissa, one ulp of log2 on [53, 54) and half an ulp of the
+        # result, against 60-digit Decimal logarithms of random integers
+        # of 60 to 20 000 bits; the bound's own rounding is ~1e-16 relative
+        rng = random.Random(0x1062)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ln2 = Decimal(2).ln()
+            for bits in (60, 64, 100, 1000, 6000, 20000):
+                for _ in range(200):
+                    x = rng.getrandbits(bits) | 1 << (bits - 1)
+                    got = log2_big(x)
+                    bound = 2**-52 / math.log(2) + 2**-47 + math.ulp(got) / 2
+                    err = abs(Decimal(got) - Decimal(x).ln() / ln2)
+                    assert err <= Decimal(bound), (bits, x)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -459,25 +459,17 @@ def svd_probs(state: PureStateVector) -> np.ndarray:
     return probs[probs > 1e-14]
 
 
-def labeled_probs(state: PureStateVector) -> np.ndarray:
-    """Schmidt probabilities by the labeled block route, whatever the
-    pattern, sorted and cut as schmidt_spectrum does."""
-    m = state.as_matrix()
-    probs = np.sort(oracle._block_eigenvalues(m, m != 0))[::-1]
-    return probs[probs > 1e-14]
-
-
 @pytest.fixture
-def block_label_calls(monkeypatch):
-    """The patterns oracle._block_labels is called with, in order."""
+def eigvalsh_calls(monkeypatch):
+    """The matrices np.linalg.eigvalsh is called with, in order."""
     calls = []
-    labels = oracle._block_labels
+    eigvalsh = np.linalg.eigvalsh
 
-    def spy(nz):
-        calls.append(nz)
-        return labels(nz)
+    def spy(a, *args, **kwargs):
+        calls.append(a)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_block_labels", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     return calls
 
 
@@ -599,15 +591,15 @@ class TestSchmidtSpectrum:
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_matches_svd_on_permuted_block_diagonal_states(self, n):
-        # Dense random blocks of mixed, non-square shapes (repeats too, so
-        # equal shapes stack) on the diagonal, a few all-zero rows and
-        # columns left over, then a random permutation of rows and columns.
+        # Dense random blocks of mixed, non-square shapes on the diagonal, a
+        # few all-zero rows and columns left over, then a random permutation
+        # of rows and columns: a rank-deficient M that is not monomial.
         rng = np.random.default_rng(2000 + n)
         d = 1 << n
         shapes = [(1, 1), (2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (5, 2)]
         for dtype in (np.float64, np.complex128):
             m = np.zeros((d, d), dtype=dtype)
-            planted, r0, c0 = [], 0, 0
+            r0, c0 = 0, 0
             while True:
                 h, w = shapes[rng.integers(len(shapes))]
                 if r0 + h > d - 1 or c0 + w > d - 1:  # the last row and column stay zero
@@ -616,7 +608,6 @@ class TestSchmidtSpectrum:
                 if dtype is np.complex128:
                     block = block + 1j * rng.normal(size=(h, w))
                 m[r0:r0 + h, c0:c0 + w] = block
-                planted.append((range(r0, r0 + h), range(c0, c0 + w)))
                 r0, c0 = r0 + h, c0 + w
             row_perm, col_perm = rng.permutation(d), rng.permutation(d)
             m = m[row_perm][:, col_perm] / np.linalg.norm(m)
@@ -624,36 +615,28 @@ class TestSchmidtSpectrum:
             probs, ref = schmidt_spectrum(state), svd_probs(state)
             assert probs.shape == ref.shape
             assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
-            # The blocks found are the planted ones, with zero rows and columns in none.
-            row_label, col_label = oracle._block_labels(m != 0)
-            row_at, col_at = np.argsort(row_perm), np.argsort(col_perm)
-            for rows, cols in planted:
-                labels = np.concatenate([row_label[row_at[rows]], col_label[col_at[cols]]])
-                assert np.all(labels == labels[0])
-            assert len(set(row_label[row_label < d].tolist())) == len(planted)
-            assert np.count_nonzero(row_label == d) == d - r0
-            assert np.count_nonzero(col_label == d) == d - c0
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_chain_pattern_is_one_block(self, n):
         # Diagonal plus superdiagonal: every row reaches every column along
-        # the chain, the longest path a d x d pattern allows.
+        # the chain, so no permutation splits M; real, then with random
+        # phases on its entries.
         rng = np.random.default_rng(3000 + n)
         d = 1 << n
-        m = np.diag(rng.normal(size=d)) + np.diag(rng.normal(size=d - 1), k=1)
-        state = PureStateVector(n_pairs=n, amps=(m / np.linalg.norm(m)).reshape(-1))
-        row_label, col_label = oracle._block_labels(m != 0)
-        assert not row_label.any() and not col_label.any()
-        probs, ref = schmidt_spectrum(state), svd_probs(state)
-        assert probs.shape == ref.shape
-        assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
+        real = np.diag(rng.normal(size=d)) + np.diag(rng.normal(size=d - 1), k=1)
+        phases = np.exp(2j * np.pi * rng.random((d, d)))
+        for m in (real, real * phases):
+            state = PureStateVector(n_pairs=n, amps=(m / np.linalg.norm(m)).reshape(-1))
+            probs, ref = schmidt_spectrum(state), svd_probs(state)
+            assert probs.shape == ref.shape
+            assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
 
     @pytest.mark.parametrize("n", [1, 4, 10])
-    def test_diagonal_state_is_squared_diagonal(self, n, block_label_calls):
-        # A diagonal with zeros, its rows and columns then permuted: 1x1
-        # blocks, each probability one squared amplitude, exactly, read off
-        # the entries without labeling a block.  Integer amplitudes make a
-        # unit state only as one +-1.
+    def test_diagonal_state_is_squared_diagonal(self, n, eigvalsh_calls):
+        # A diagonal with zeros, its rows and columns then permuted: each
+        # probability one squared amplitude, exactly, read off the entries
+        # without an eigvalsh.  Integer amplitudes make a unit state only as
+        # one +-1.
         rng = np.random.default_rng(4000 + n)
         d = 1 << n
         real = rng.normal(size=d)
@@ -673,28 +656,33 @@ class TestSchmidtSpectrum:
             assert np.array_equal(probs, expected[expected > 1e-14])
             assert probs.shape == ref.shape
             assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
-        assert block_label_calls == []
+        assert eigvalsh_calls == []
 
-    def test_monomial_exit_matches_labeled_route(self, block_label_calls):
-        # Bit for bit, on every Bell and product test state and relabeled
-        # image up to 8 pairs and at (10, 5), none of which labels a block.
+    def test_monomial_exit_is_squared_entries(self, eigvalsh_calls):
+        # Every Bell and product test state and relabeled image up to 8
+        # pairs and at (10, 5) takes the exit: no eigvalsh, the squares of
+        # the nonzero amplitudes bit for bit, and SVD's spectrum to rounding.
         configs = [(n, k) for n in range(1, 9) for k in range(n + 1)] + [(10, 5)]
         for n, k in configs:
             for enc in (BELL, PROD):
                 state = superpose_strings(permutation_strings(n, k), enc)
                 for s in (state, apply_ubc(state, n, k, enc)):
                     probs = schmidt_spectrum(s)
-                    assert block_label_calls == []
-                    assert probs.tobytes() == labeled_probs(s).tobytes()
-                    block_label_calls.clear()  # the labeled route's own call
+                    assert eigvalsh_calls == []
+                    v = s.amps[s.amps != 0]
+                    squares = np.sort(v * v)[::-1]
+                    assert probs.tobytes() == squares[squares > 1e-14].tobytes()
+                    ref = svd_probs(s)
+                    assert probs.shape == ref.shape
+                    assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
 
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("axis", ["column", "row"])
-    def test_one_entry_off_monomial_takes_labeled_route(self, n, axis, block_label_calls):
+    def test_one_entry_off_monomial_takes_eigvalsh(self, n, axis, eigvalsh_calls):
         # A permuted diagonal with one zero on it, then one more nonzero in
         # that zero's row (two nonzeros in one column) or in its column (two
-        # in one row): a 2x1 or 1x2 block, whose one eigenvalue is the sum
-        # of two squares.
+        # in one row): no longer monomial, so the spectrum comes from one
+        # eigvalsh of the full rho_B.
         rng = np.random.default_rng(5000 + n)
         d = 1 << n
         diag = rng.normal(size=d)
@@ -708,7 +696,7 @@ class TestSchmidtSpectrum:
         m = m[row_perm][:, col_perm] / np.linalg.norm(m)
         state = PureStateVector(n_pairs=n, amps=m.reshape(-1))
         probs, ref = schmidt_spectrum(state), svd_probs(state)
-        assert len(block_label_calls) == 1
+        assert [a.shape for a in eigvalsh_calls] == [(d, d)]
         assert probs.shape == ref.shape == (d - 1,)
         assert np.max(np.abs(probs - ref)) <= spectrum_tol(n)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refsums import inner_sum, squaring_entropy
+from refsums import decimal_e_in, e_in_bound, inner_sum, squaring_entropy
 from triconc import teststate
 from triconc.exactmath import binom, log2_big
 from triconc.teststate import (
@@ -186,6 +187,21 @@ class TestEntropies:
             assert e_in(TestStateSpec(n, k)) == squaring_entropy(n, k), (n, k)
         spec = TestStateSpec(*cases[1])
         assert amplitude_table(spec).entropy() == e_in(spec)
+
+    def test_e_in_within_derived_bound_of_decimal(self):
+        # tests/refsums.py's 60-digit Decimal entropy shares no float step
+        # with e_in, so agreement here is not by construction; e_in_bound
+        # derives how far apart the two may be.  (49, 17) and (94, 33) were
+        # the worst cases seen below n = 120, at 5.3 and 6.9 ulp
+        rng = random.Random(4000)
+        configs = [(n, k) for n in range(1, 41) for k in range(n + 1)]
+        configs += [(49, 17), (94, 33), (120, 40), (200, 160), (500, 250),
+                    (1000, 800), (2000, 1000)]
+        configs += [(n, rng.randrange(n + 1)) for n in rng.sample(range(41, 600), 4)]
+        for n, k in configs:
+            e = e_in(TestStateSpec(n, k))
+            err = abs(Decimal(e) - decimal_e_in(n, k))
+            assert err <= Decimal(e_in_bound(n, e)), (n, k, err)
 
     def test_bounds(self):
         for n in range(1, 61, 7):
