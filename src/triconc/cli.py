@@ -365,13 +365,11 @@ def _run_batch(args: argparse.Namespace) -> tuple[
 
 def cmd_eof(p_grid: list[float]) -> tuple[list[str], list[list[object]]]:
     header = ["p", "ef_in", "ef_out", "locking_deficit", "s_a", "s_b"]
-    rows: list[list[object]] = []
-    for p in p_grid:
-        led = eof_mod.ledger(p)
-        rows.append([
-            float(p), led.ef_in_per_copy, led.ef_out_per_copy,
-            led.locking_deficit_per_copy, led.s_a_per_copy, led.s_b_per_copy,
-        ])
+    rows: list[list[object]] = [
+        [float(led.p), led.ef_in_per_copy, led.ef_out_per_copy,
+         led.locking_deficit_per_copy, led.s_a_per_copy, led.s_b_per_copy]
+        for led in eof_mod.ledgers(p_grid)
+    ]
     return header, rows
 
 

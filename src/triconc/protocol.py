@@ -11,21 +11,25 @@ entering [0, log2(1+eps)].  run_trials, the one entry point, walks the
 runs of one config together, _CHUNK runs at a time, in blocks of draws;
 its docstring says how each block finds every run's switch from the
 exact D_M to floats, then its stop.  Both are decided from a bracket
-lo 2^e <= D_M <= hi 2^e of 128-bit ints, and D_M is built exactly only
-where the bracket cannot decide; the results are the same floats.
+lo 2^e <= D_M <= hi 2^e of 128-bit ints, the product of per-k power
+tables, and D_M is built exactly only where the bracket cannot decide;
+the results are the same floats.  Each run gets one such exact
+decision, at its stop before the switch or at the switch itself, bar
+the rare candidate that does not stop it.
 
 Reproducibility: every run derives its stream from (seed, run_index),
 so trials can be evaluated in any order or in parallel with identical
 results.  Because no two runs share a stream, draws a run makes past
 its stopping batch change nothing that any run reports, and neither
 does the chunk a run is walked in: each row of a block is its own run's
-draws and its own sequential sum, and the rows only share the table of
-C(n, k), whose entries do not depend on who asked first.  The streams
-are numpy's: run i's is PCG64 seeded by SeedSequence([seed, i]), and its
-k equal Generator.binomial(n, p)'s on that stream.  run_trials gets both
-in bulk (_seed_words hashes the seeds of a group of runs at once;
-_Sampler decodes the draws from the same uniform doubles numpy's sampler
-reads) and imports numpy when it is first called, not at import.
+draws and its own sequential sum, and the rows only share the tables of
+C(n, k) and of its powers, whose entries do not depend on who asked
+first.  The streams are numpy's: run i's is PCG64 seeded by
+SeedSequence([seed, i]), and its k equal Generator.binomial(n, p)'s on
+that stream.  run_trials gets both in bulk (_seed_words hashes the seeds
+of a group of runs at once; _Sampler decodes the draws from the same
+uniform doubles numpy's sampler reads) and imports numpy when it is
+first called, not at import.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ _CHUNK = 64
 _SEED_GROUP = 16 * _CHUNK
 
 #: Rows of at most this many k get their exact D_M as the product in
-#: order; longer rows a Horner bracket (_Ranks.bracket).
+#: order; longer rows a bracket from the power tables (_Ranks.bracket).
 _SHORT_ROW = 128
 
 #: Leading bits that _Ranks.bracket keeps of its bounds on D_M.
@@ -156,37 +160,53 @@ def run_trials(
     and their log2 are computed once per call, for the k drawn), with
     each run's carried sum added into column 0, its cumsum along the rows
     is the float running sum s of every run, the same floats as one s +=
-    step per batch.  Each block then takes two steps.
+    step per batch.  Each block then finds the switch and the stop.
 
     1. Switch.  A run not yet switched whose s reaches _EXACT_BITS -
-       delta in the block tests its D_M batch by batch from there, and
-       switches at the first batch where D_M outgrows _EXACT_BITS bits.
-       From that batch on, s is re-anchored to log2_big(D_M) and summed
-       again: the float log2 D_M itself.
+       delta in the block tests its D_M batch by batch from there, its
+       start, and switches at the first batch where D_M outgrows
+       _EXACT_BITS bits.  From that batch on, s is re-anchored to
+       log2_big(D_M) and summed again: the float log2 D_M itself.
     2. Stop.  A batch is a candidate where frac(s) <= log2(1 + epsilon)
        + delta, before the run's switch also where frac(s) >= 1 - delta,
        and at batch _MAX_BATCHES.  Each run's candidates are decided in
        order by the rule above: before its switch on D_M, from it on
        with eps_prime from s.
 
+    A run's candidates before its start come before any switch, so they
+    are decided before the search, and a run that stops there is never
+    searched.  So each run is decided on D_M once, at its stop before
+    the switch or at the switch, plus once for each candidate before
+    the switch that does not stop it (rare: delta is far below the
+    window): 2000 runs at n = 20, p = 0.5 and seed 1 make 2000 such
+    decisions at epsilon 0.1, 0.01 and 0.001 alike.
+
     D_M is known there as a bracket (lo, hi, e), lo 2^e <= D_M <= hi 2^e
     (_Ranks.bracket).  A row of at most _SHORT_ROW batches gets the
-    exact product (d, d, 0); a longer one Horner's rule over the count
-    of each k, both bounds cut to their leading _BRACKET_BITS = 128 bits
-    after each level.  The bracket decides l where lo 2^e and hi 2^e
-    have one bit length, and eps_prime where (lo - 2^s) / 2^s and (hi -
-    2^s) / 2^s, s = bit length of lo - 1, round to the same float; in
-    the switch search, lo and hi are multiplied on by each exact C(n, k)
-    and decide the bit length against _EXACT_BITS, and log2_big(D_M)
-    where lo 2^e and hi 2^e agree on their leading 54 bits.  Python's
-    int / int rounds correctly and rounding is monotone, so a float
-    both ends give is the float the exact D_M gives, and every result
-    is that of the exact product.  What the bracket leaves open is
-    decided again on D_M rebuilt exactly from the count of each k, as
-    the bracket (D_M, D_M, 0).  That is rare: each cut widens the
-    bracket by under 2^-125 relative and each squaring doubles the
-    width, so over the at most 14 levels of a count up to _MAX_BATCHES
-    = 10^4 < 2^14 it stays below 2^-110 relative.  eps_prime is then
+    exact product (d, d, 0); a longer one the product, over its distinct
+    k, of entry m of the power table of k, m the count of k in the row,
+    where entry m brackets C(n, k)^m as entry m - 1 times C(n, k).  After
+    each multiply, in the tables and in the product, both bounds are cut
+    to their leading _BRACKET_BITS = 128 bits (_cut), lo rounded down and
+    hi up.  The tables are shared by every run of the call and grow one
+    entry at a time, as far as a row needs.  The bracket decides l where
+    lo 2^e and hi 2^e have one bit length, and eps_prime where (lo -
+    2^s) / 2^s and (hi - 2^s) / 2^s, s = bit length of lo - 1, round to
+    the same float; in the switch search, lo and hi are multiplied on by
+    each exact C(n, k) and decide the bit length against _EXACT_BITS,
+    and log2_big(D_M) where lo 2^e and hi 2^e agree on their leading 54
+    bits.  Python's int / int rounds correctly and rounding is monotone,
+    so a float both ends give is the float the exact D_M gives, and
+    every result is that of the exact product.  What the bracket leaves
+    open is decided again on D_M rebuilt exactly from the count of each
+    k, as the bracket (D_M, D_M, 0).  That is rare.  A cut leaves hi 128
+    bits and lo at least 127, so it moves lo down by under 2^-126 of
+    itself and hi up by under 2^-127, widening ln(hi / lo) by under
+    2^-125; a multiply by an exact C(n, k) leaves the width as it is,
+    and a product of brackets adds their widths.  Entry m of a table has
+    taken at most m cuts and the product one per distinct k, so a row of
+    M <= _MAX_BATCHES = 10^4 batches has taken at most 2M < 2^15 cuts,
+    and its bracket stays below 2^-110 relative.  eps_prime is then
     known to within 2^-109, while its floats near epsilon = 0.001 are
     2^-62 apart, and the leading 54 bits of D_M to within 2^-56 of a
     unit; 2000 runs at n = 20 and epsilon 0.1, 0.01 or 0.001 build no
@@ -232,7 +252,8 @@ def run_trials(
 
 
 class _Ranks:
-    """C(n, k) and log2_big(C(n, k)) for the k drawn so far.
+    """C(n, k) and log2_big(C(n, k)) for the k drawn so far, and the
+    power tables from which bracket takes D_M.
 
     The floats sit in an array indexed by k - base that covers the range
     of k drawn so far (-1 where a k in that range is not drawn yet), so
@@ -247,6 +268,7 @@ class _Ranks:
         self.exact: dict[int, int] = {}  # k -> C(n, k)
         self.base = 0
         self.log2 = np.empty(0)  # log2_big(C(n, base + i)) at i
+        self.powers: dict[int, list[tuple[int, int, int]]] = {}  # k -> brackets of C(n, k)^m
 
     def steps(self, ks: np.ndarray) -> np.ndarray:
         """log2_big(C(n, k)) for every k of the int array ks."""
@@ -292,28 +314,36 @@ class _Ranks:
 
     def product(self, ks: np.ndarray) -> int:
         """prod C(n, k) over the k of ks, exactly."""
-        return _power_product(self.exact, self._counts(ks))
+        return _power_product(self.exact, {k: m for k, m in self._counts(ks) if m})
 
     def bracket(self, ks: np.ndarray) -> tuple[int, int, int]:
         """(lo, hi, e) with lo 2^e <= prod C(n, k) over the k of ks <= hi 2^e.
 
         A row of at most _SHORT_ROW k gets the exact product, in order, as
-        (d, d, 0).  A longer one gets Horner's rule of _power_product with
-        both bounds cut to their leading _BRACKET_BITS bits after each
-        level, lo rounded down and hi up."""
+        (d, d, 0).  A longer one gets the product, over its k in increasing
+        order, of the power-table entry of C(n, k)^(count of k), _cut after
+        each multiply.  The table of k holds at m the bracket of C(n, k)^m,
+        entry m - 1 times C(n, k), _cut; it grows as far as a row needs.  A
+        k with C(n, k) = 1 (k = 0 or n) leaves the product as it is and gets
+        no table."""
         exact = self.exact
         if ks.size <= _SHORT_ROW:
             d = math.prod([exact[k] for k in ks.tolist()])
             return d, d, 0
-        counts = self._counts(ks)
+        n, powers = self.n, self.powers
         lo = hi = 1
         e = 0
-        for j in range(max(counts.values()).bit_length() - 1, -1, -1):
-            c = math.prod([exact[k] for k, m in counts.items() if m >> j & 1])
-            lo, hi, e = lo * lo * c, hi * hi * c, 2 * e
-            cut = hi.bit_length() - _BRACKET_BITS
-            if cut > 0:
-                lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+        for k, m in self._counts(ks):
+            if not (m and 0 < k < n):
+                continue
+            table = powers.get(k)
+            if table is None:
+                table = powers[k] = [(1, 1, 0)]
+            while len(table) <= m:
+                t_lo, t_hi, t_e = table[-1]
+                table.append(_cut(t_lo * exact[k], t_hi * exact[k], t_e))
+            t_lo, t_hi, t_e = table[m]
+            lo, hi, e = _cut(lo * t_lo, hi * t_hi, e + t_e)
         return lo, hi, e
 
     def settle(self, ks: np.ndarray, decide: Callable, *args: object) -> object:
@@ -325,12 +355,12 @@ class _Ranks:
             found = decide(d, d, 0, *args)
         return found
 
-    def _counts(self, ks: np.ndarray) -> dict[int, int]:
-        """{k: how often k occurs in ks} over the k that do."""
+    def _counts(self, ks: np.ndarray) -> Iterator[tuple[int, int]]:
+        """(k, how often k occurs in ks) over the range of k drawn so far,
+        in increasing k, 0 for a k that does not occur."""
         import numpy as np
 
-        counts = np.bincount(ks - self.base).tolist()
-        return {self.base + k: e for k, e in enumerate(counts) if e}
+        return enumerate(np.bincount(ks - self.base).tolist(), self.base)
 
 
 def _walk(
@@ -354,36 +384,24 @@ def _walk(
     carry = np.zeros(len(rngs))
     switched = np.zeros(len(rngs), dtype=bool)
     drawn, size = 0, _FIRST_BLOCK
-    while slots:
-        draws = min(size, max_batches - drawn)
-        block = sampler.draw(rngs, draws)
-        ks = np.concatenate((ks, block), axis=1)
-        s = ranks.steps(block)
-        s[:, 0] += carry
-        np.cumsum(s, axis=1, out=s)
-        # 1. switch: each row's first float-decided column (0 once switched,
-        # draws while not), searched on D_M from its first s >= near_switch;
-        # from there s is re-anchored to log2_big(D_M)
-        switch_at = np.where(switched, 0, draws)
-        for r in ((s[:, -1] >= near_switch) & ~switched).nonzero()[0].tolist():
-            j = int((s[r] >= near_switch).argmax())
-            i, log2_d = ranks.settle(ks[r, :drawn + j + 1], _switch_point,
-                                     block[r, j + 1:], ranks.exact, exact_bits)
-            if log2_d is not None:
-                j += i
-                switch_at[r] = j
-                tail = ranks.steps(block[r, j:])
-                tail[0] = log2_d
-                s[r, j:] = np.cumsum(tail)
-        # 2. stop: each row's candidates in order, decided on D_M before its
-        # switch and on the float s from there on
-        f = s - np.floor(s)  # s % 1.0 exactly, as s >= 0, and much faster
-        cand = (f <= window) | ((f >= wrap) & (np.arange(draws) < switch_at[:, None]))
-        del f
+    # candidates and decide read the current block's draws, drawn, ks, s,
+    # live and switch_cols from the loop below
+
+    def candidates(s: np.ndarray, switch_at: np.ndarray) -> np.ndarray:
+        """Where the rows s of the block may stop, given each row's first
+        float-decided column."""
+        f = np.floor(s)
+        np.subtract(s, f, out=f)  # s % 1.0 exactly, as s >= 0, and much faster
+        cols = np.arange(draws)
+        cand = (f <= window) | ((f >= wrap) & (cols < switch_at[:, None]))
         if drawn + draws == max_batches:
             cand[:, -1] = True  # the last batch is always decided
-        switch_cols, live = switch_at.tolist(), [True] * len(slots)
-        for r, j in zip(*(a.tolist() for a in cand.nonzero())):
+        return cand
+
+    def decide(rows: np.ndarray, cols: np.ndarray) -> None:
+        """Each candidate (row, column) in order, on D_M before the row's
+        switch and on the float s from there on; a stop ends the run."""
+        for r, j in zip(rows.tolist(), cols.tolist()):
             if not live[r]:
                 continue
             m = drawn + j + 1
@@ -397,6 +415,48 @@ def _walk(
                 stats = _stats(m, ks[r, :m].tolist(), l, eps_prime, cfg)
                 results[slots[r]] = (stats, eps_prime > epsilon)
                 live[r] = False
+
+    while slots:
+        draws = min(size, max_batches - drawn)
+        block = sampler.draw(rngs, draws)
+        ks = np.concatenate((ks, block), axis=1)
+        s = ranks.steps(block)
+        s[:, 0] += carry
+        np.cumsum(s, axis=1, out=s)
+        # each row's first float-decided column: 0 once switched, draws
+        # while not, and from the search below its switch in this block.
+        # A row that may switch here is searched from its start, its first
+        # s >= near_switch.
+        switch_at = np.where(switched, 0, draws)
+        search = ((s[:, -1] >= near_switch) & ~switched).nonzero()[0].tolist()
+        starts = (s[search] >= near_switch).argmax(axis=1).tolist() if search else []
+        switch_cols, live = switch_at.tolist(), [True] * len(slots)
+        # 1. stop, but in a searched row only before its start: decided on
+        # D_M, so that a run that stops there is never searched
+        cand = candidates(s, switch_at)
+        for r, j in zip(search, starts):
+            cand[r, j:] = False
+        decide(*cand.nonzero())
+        del cand
+        # 2. switch: searched on D_M from the start; from the switch on, s
+        # is re-anchored to log2_big(D_M)
+        searched = [(r, j) for r, j in zip(search, starts) if live[r]]
+        for r, j in searched:
+            i, log2_d = ranks.settle(ks[r, :drawn + j + 1], _switch_point,
+                                     block[r, j + 1:], ranks.exact, exact_bits)
+            if log2_d is not None:
+                j += i
+                switch_at[r] = switch_cols[r] = j
+                tail = ranks.log2.take(block[r, j:] - ranks.base)
+                tail[0] = log2_d
+                np.cumsum(tail, out=s[r, j:])
+        # 3. stop in the searched rows from their start on
+        if searched:
+            rows, starts = map(np.array, zip(*searched))
+            cand = candidates(s[rows], switch_at[rows])
+            cand &= np.arange(draws) >= starts[:, None]
+            at, cols = cand.nonzero()
+            decide(rows[at], cols)
         keep = np.array(live, dtype=bool)
         slots = [slot for slot, k in zip(slots, live) if k]
         rngs = [rng for rng, k in zip(rngs, live) if k]
@@ -404,6 +464,15 @@ def _walk(
         drawn += draws
         size *= 2
     return results
+
+
+def _cut(lo: int, hi: int, e: int) -> tuple[int, int, int]:
+    """The bracket lo 2^e <= D <= hi 2^e cut to hi's leading _BRACKET_BITS
+    bits, lo rounded down and hi up, so that it still holds D."""
+    cut = hi.bit_length() - _BRACKET_BITS
+    if cut <= 0:
+        return lo, hi, e
+    return lo >> cut, -(-hi >> cut), e + cut
 
 
 def _stop_point(lo: int, hi: int, e: int) -> tuple[int, float] | None:

@@ -1,5 +1,6 @@
 """References shared by the tests: the direct O(n) route to one S_i, the
-squaring route to the test-state entropy, and a 60-digit Decimal e_in.
+squaring route to the test-state entropy, and 60-digit Decimal forms of
+e_in and of codeword_entropy.
 
 The library computes S_0 .. S_n by a three-term recurrence
 (:func:`triconc.exactmath.half_inner_sums`); inner_sum is the definition
@@ -10,13 +11,16 @@ term; squaring_entropy squares every S_i and reads the weight's and
 log2_big's leading bits from the square.  decimal_e_in shares neither
 float algorithm: it is the same entropy in 60-digit Decimal logarithms,
 so it is not bit-identical to the library by design, and e_in_bound says
-how far apart the two may be.
+how far apart the two may be.  decimal_codeword_entropy and
+codeword_entropy_bound are the same pair for
+:func:`triconc.teststate.codeword_entropy`.
 """
 
 import math
 from decimal import Decimal, localcontext
 
 from triconc.exactmath import binomial_row, inner_sum_table, log2_big, ordered_sum
+from triconc.teststate import _walsh_roots
 
 
 def inner_sum(n: int, k: int, i: int) -> int:
@@ -132,3 +136,66 @@ def e_in_bound(n: int, e: float) -> float:
     e_abs = abs(e) + 1e-9
     return ((n + 3) * u * (1 + n * u) * e_abs
             + 2 * (2.0**-52 / math.log(2) + 2.0**-47) + 2 * math.ulp(2.0 * n + 1))
+
+
+def decimal_codeword_entropy(count: int, n: int) -> Decimal:
+    """codeword_entropy(count, n) in 60-digit Decimal, by the same formula
+    over the same integers, _walsh_roots' (mult, |W|):
+
+        H = [ln T - sum mult W^2 ln(W^2) / T] / ln 2 + n - m,
+
+    m = ceil(log2 count), T = count 2^m.  The weights mult W^2 / T sum to 1
+    exactly (Parseval, checked in integers), which takes ln T out of the
+    sum.  Each integer is rounded to 60 digits as it enters (relative
+    error 5e-60) and every Decimal step rounds to 60 digits (ln
+    correctly), so the result is off by far less than 1e-50."""
+    roots = _walsh_roots(count)
+    m = (count - 1).bit_length()
+    total = count << m
+    if sum(mult * w * w for mult, w in roots) != total:
+        raise ArithmeticError(f"weights of count {count} do not sum to 1")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        num, acc = ctx.create_decimal, Decimal(0)
+        for mult, w in roots:
+            acc += num(mult * w * w) / num(total) * 2 * num(w).ln()
+        return (num(total).ln() - acc) / Decimal(2).ln() + (n - m)
+
+
+def codeword_entropy_bound(count: int, n: int, h: float) -> float:
+    """How far codeword_entropy(count, n), h, may be from the exact entropy,
+    u = 2^-53 the unit roundoff.  The library adds the K = len(_walsh_roots
+    (count)) terms t_j = -W_j (L_j - L_T), with W_j = mult_j w_j / T,
+    w_j = |W|^2, L_j = log2 w_j and L_T = log2 T (T = count 2^m, m = ceil
+    (log2 count)), then adds n - m:
+
+    - W_j is the exact ratio rounded once: relative error u.  (A weight
+      below 2^-1022 is off by at most 2^-1075 absolute; times |L_j - L_T|
+      <= 2m that is below 2^-1050 a term, nothing at this scale.)
+    - L_j and log2 count are log2_big's, each within 2^-52 / ln 2 + 2^-47
+      + ulp / 2 of its result (exactmath.log2_big); L_T = m + log2 count
+      rounds once more, and so does the difference L_j - L_T.  w_j <=
+      count^2 and T <= 2^(2m), so each of these is at most 2m in size and
+      the difference is off by at most 2 (2^-52 / ln 2 + 2^-47) + 2 ulp(2m).
+      This is what grows with the count's bit length: the log2 of a
+      weight is a difference of two logs near 2m, so the error is absolute,
+      not relative to the entropy.
+    - The product rounds once: relative error u.
+
+    The weights sum to 1 and sum_j W_j |L_j - L_T| = H - (n - m) =: H_m, so
+    the terms' errors add to at most 2u H_m plus the difference's bound.
+    The terms are non-negative and added one by one, left to right (K - 1
+    additions after the first), so the sum adds at most (K - 1) u (1 +
+    K u) H_m (Higham, sec. 4.2), and adding n - m half an ulp of h.  The
+    first-order total, with one more u H_m for the second-order products,
+    is
+
+        (K + 2) u H_m + 2 (2^-52 / ln 2 + 2^-47) + 2 ulp(2m) + ulp(h) / 2,
+
+    taken here with H_m = h - (n - m) + 1e-9 (h is within far less)."""
+    u = 2.0**-53
+    k = len(_walsh_roots(count))
+    m = (count - 1).bit_length()
+    h_m = abs(h - (n - m)) + 1e-9
+    return ((k + 2) * u * (1 + k * u) * h_m + 2 * (2.0**-52 / math.log(2) + 2.0**-47)
+            + 2 * math.ulp(2.0 * m) + math.ulp(h) / 2)

@@ -537,10 +537,10 @@ class TestUsage:
     @pytest.mark.parametrize("exc", [ValueError, ArithmeticError, IndexError,
                                      TypeError, KeyError])
     def test_internal_fault_exits_3(self, exc, tmp_path, monkeypatch, capsys):
-        def broken(p):
+        def broken(p_grid):
             raise exc("invariant violated")
 
-        monkeypatch.setattr(cli.eof_mod, "ledger", broken)
+        monkeypatch.setattr(cli.eof_mod, "ledgers", broken)
         code, text = run_cli(["eof", "--p-list", "0.5"], tmp_path)
         assert code == 3
         assert text == ""

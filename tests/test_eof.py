@@ -6,7 +6,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from triconc.eof import concurrence, eof_from_concurrence, ledger, rp_reduced_bc
+from triconc.eof import concurrence, eof_from_concurrence, ledger, ledgers, rp_reduced_bc
 from triconc.exactmath import shannon_h
 
 THETA = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -155,3 +155,40 @@ class TestLedger:
             probs = sv**2
             entropy = -sum(v * math.log2(v) for v in probs if v > 1e-15)
             assert abs(entropy - ledger(p).s_a_per_copy) < 1e-12
+
+
+class TestLedgers:
+    """The grid's ledgers in one stacked pass, float for float the
+    one-point pass's: numpy's eigh and svd call LAPACK once per matrix of
+    the stack, and every other step is elementwise or per matrix."""
+
+    GRID = [i / 100 for i in range(101)] + [1e-300, 0.1234567890123, 1 - 2**-52]
+
+    def test_grid_equals_one_point_passes(self):
+        rng = np.random.default_rng(7)
+        for grid in (self.GRID, rng.random(500).tolist(), [0.3]):
+            assert ledgers(grid) == [ledgers([p])[0] for p in grid]
+        assert [ledger(p) for p in self.GRID] == ledgers(self.GRID)
+        assert ledgers([]) == []
+
+    def test_stacked_concurrence(self):
+        rng = np.random.default_rng(11)
+        stack = []
+        for p in (0.0, 0.2, 0.5, 0.9):
+            u = np.kron(_random_unitary(rng), _random_unitary(rng))
+            stack.append(u @ (0.8 * rp_reduced_bc(p) + 0.05 * np.eye(4)) @ u.conj().T)
+        got = concurrence(np.array(stack))
+        assert got.shape == (4,)
+        assert got.tolist() == [concurrence(rho) for rho in stack]
+        assert type(concurrence(stack[0])) is float
+        assert rp_reduced_bc(self.GRID).shape == (len(self.GRID), 4, 4)
+
+    def test_grid_validation_names_the_bad_point(self):
+        for bad in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError, match=f"probability out of \\[0, 1\\]: {bad}"):
+                ledgers([0.5, bad, 0.25])
+        stack = np.array([rp_reduced_bc(0.3), np.eye(4) / 2])
+        with pytest.raises(ValueError, match="trace"):
+            concurrence(stack)
+        with pytest.raises(ValueError, match="4x4"):
+            concurrence(np.eye(3))

@@ -365,10 +365,10 @@ class TestMatchesReference:
         assert orders <= seen
 
     @pytest.mark.parametrize(("bracket_bits", "short_row", "exact_path"), [
-        (58, None, "always"),    # every Horner bracket too wide to decide
-        (58, 0, "always"),       # every bracket Horner, and too wide
+        (58, None, "always"),    # every table bracket too wide to decide
+        (58, 0, "always"),       # every bracket from the tables, and too wide
         (70, None, "sometimes"),
-        (None, 0, "never"),      # every bracket Horner, at the default width
+        (None, 0, "never"),      # every bracket from the tables, at the default width
         (None, protocol._MAX_BATCHES, "never"),  # every bracket exact
     ])
     def test_bracket_and_exact_fallback(self, monkeypatch, bracket_bits, short_row,
@@ -380,11 +380,11 @@ class TestMatchesReference:
             monkeypatch.setattr(protocol, "_BRACKET_BITS", bracket_bits)
         if short_row is not None:
             monkeypatch.setattr(protocol, "_SHORT_ROW", short_row)
-        horner, exact = [], []
+        tabled, exact = [], []
         bracket, product = protocol._Ranks.bracket, protocol._Ranks.product
 
         def counted_bracket(self, ks):
-            horner.append(ks.size > protocol._SHORT_ROW)
+            tabled.append(ks.size > protocol._SHORT_ROW)
             return bracket(self, ks)
 
         def counted_product(self, ks):
@@ -397,15 +397,15 @@ class TestMatchesReference:
         expected = [_reference_run_batches(cfg, run) for run in range(300)]
         assert _walked(cfg, range(300)) == expected
         if short_row == 0:
-            assert all(horner)
+            assert all(tabled)
         elif short_row == protocol._MAX_BATCHES:
-            assert not any(horner)
+            assert not any(tabled)
         else:
-            assert any(horner) and not all(horner)
+            assert any(tabled) and not all(tabled)
         if exact_path == "always":
-            assert len(exact) == sum(horner)
+            assert len(exact) == sum(tabled)
         elif exact_path == "sometimes":
-            assert 0 < len(exact) < sum(horner)
+            assert 0 < len(exact) < sum(tabled)
         else:
             assert exact == []
 
@@ -426,24 +426,82 @@ class TestMatchesReference:
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 60), size=st.integers(1, 10_000), p=st.floats(0.0, 1.0),
-       ends_only=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_bracket_holds_the_product(n, size, p, ends_only, seed):
+       ends_only=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       others=st.lists(st.tuples(st.integers(1, 10_000), st.floats(0.0, 1.0)),
+                       max_size=3))
+def test_bracket_holds_the_product(n, size, p, ends_only, seed, others):
     # lo 2^e <= D <= hi 2^e, exact on the short-row path and under 2^-110
-    # relative wide on the Horner path; rows of k in {0, n} only have D = 1
+    # relative wide from the power tables; rows of k in {0, n} only have
+    # D = 1.  A _Ranks whose tables other rows grew first gives the same
+    # bracket as a fresh one, and a k with C(n, k) = 1 gets no table.
     rng = np.random.default_rng(seed)
     ks = rng.binomial(n, p, size=size)
     if ends_only:
         ks = np.where(ks < n / 2, 0, n)
+    grown = protocol._Ranks(n)
+    for other_size, other_p in others:
+        row = rng.binomial(n, other_p, size=other_size)
+        grown.steps(row)
+        grown.bracket(row)
     ranks = protocol._Ranks(n)
     ranks.steps(ks)
+    grown.steps(ks)
     d = protocol._power_product(ranks.exact, Counter(ks.tolist()))
     lo, hi, e = ranks.bracket(ks)
+    assert grown.bracket(ks) == (lo, hi, e)
     assert lo << e <= d <= hi << e
     assert (hi - lo) << 110 < lo
     if size <= protocol._SHORT_ROW:
         assert (lo, hi, e) == (d, d, 0)
     if ends_only:
         assert d == 1 and (lo, hi, e) == (1, 1, 0)
+    for table in (ranks, grown):
+        assert all(math.comb(n, k) > 1 for k in table.powers)
+        # entry m of k's table brackets C(n, k)^m
+        for k, entries in table.powers.items():
+            power = 1
+            for t_lo, t_hi, t_e in entries:
+                assert t_lo << t_e <= power <= t_hi << t_e
+                power *= math.comb(n, k)
+
+
+class TestExactDecisions:
+    """2000 runs at n = 20, p = 0.5: each is decided on D_M (a settle) once,
+    at its stop before the switch to floats or at the switch itself, and
+    no bracket is left open for the exact product."""
+
+    @pytest.mark.parametrize(("seed", "epsilon", "settles", "switches"), [
+        (1, 0.1, 2000, 0), (1, 0.01, 2000, 0), (1, 0.001, 2000, 854),
+        (0xC0FFEE, 0.1, 2000, 0), (0xC0FFEE, 0.01, 2000, 1),
+        # 849 runs pass the 10 000-bit switch, each searched once; one more
+        # run meets a candidate that does not stop it
+        (0xC0FFEE, 0.001, 2001, 849),
+    ])
+    def test_one_exact_decision_per_run(self, monkeypatch, seed, epsilon, settles,
+                                        switches):
+        calls = Counter()
+        for owner, name in ((protocol._Ranks, "settle"), (protocol._Ranks, "product"),
+                            (protocol, "_switch_point")):
+            def counted(*args, wrapped=getattr(owner, name), name=name):
+                calls[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        cfg = BatchConfig(n=20, p=0.5, epsilon=epsilon, seed=seed)
+        results = list(run_trials(cfg, range(2000)))
+        # a run that stops before its switch is decided there on D_M, and
+        # one that passes it at its switch, so each run takes at least one;
+        # a run that stops before its search starts is never searched
+        assert calls["settle"] == settles
+        assert calls["_switch_point"] == switches
+        assert sum(_passes_switch(cfg.n, s) for s, _ in results) == switches
+        assert calls["product"] == 0
+
+
+def _passes_switch(n: int, stats) -> bool:
+    """Whether the run's D_M outgrew _EXACT_BITS bits by its stop."""
+    d = math.prod(binom(n, k) for k in stats.k_list)
+    return d.bit_length() > protocol._EXACT_BITS
 
 
 def test_open_brackets_decide_nothing():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refsums import decimal_e_in, e_in_bound, inner_sum, squaring_entropy
+from refsums import (codeword_entropy_bound, decimal_codeword_entropy, decimal_e_in,
+                     e_in_bound, inner_sum, squaring_entropy)
 from triconc import teststate
 from triconc.exactmath import binom, log2_big
 from triconc.teststate import (
@@ -276,6 +277,24 @@ class TestCodewordEntropy:
                 m = (count - 1).bit_length()
                 got = codeword_entropy(count, n)
                 assert abs(got - _wht_entropy_reference(count, n)) <= 2**m * n * 2**-52
+
+    def test_within_derived_bound_of_decimal(self):
+        # tests/refsums.py's 60-digit Decimal form of the same sum over the
+        # same integers; codeword_entropy_bound derives the distance from
+        # per-term rounding, log2_big's error and the ordered sum.  The
+        # error is absolute and grows with the count's bit length: about
+        # 6e-13 at 3000 bits, where each log2 is a difference near 6000
+        rng = random.Random(3000)
+        counts = [(c, (c - 1).bit_length() + extra)
+                  for c in range(1, 300) for extra in (0, 3)]
+        for bits in (20, 64, 200, 1000, 3000):
+            counts += [(rng.getrandbits(bits) | 1 << (bits - 1), bits + 1)
+                       for _ in range(6 if bits < 3000 else 2)]
+        counts += [(2**3000 - 1, 3000), (2**2999 + 1, 3000), (2**3000 // 3, 3000)]
+        for count, n in counts:
+            h = codeword_entropy(count, n)
+            err = abs(Decimal(h) - decimal_codeword_entropy(count, n))
+            assert err <= Decimal(codeword_entropy_bound(count, n, h)), (count, n, err)
 
     def test_entropy_of_ten_codewords_on_four_pairs(self):
         # the prefix-set value ubc_codebook's docstring quotes
