@@ -1,14 +1,17 @@
 """Exact combinatorics and base-2 entropy primitives.
 
-Everything downstream leans on five guarantees made here:
+Everything downstream leans on four guarantees made here:
 
 * binomial coefficients are arbitrary-precision integers, never floats;
-  a loop over all weights takes C(n, 0..n) from one rolling product
-  (half_binomial_row, binomial_row) instead of one binom call per weight;
-* the alternating binomial sums that carry the test-state amplitudes are
-  evaluated in exact integer arithmetic, because they cancel massively
-  (for n of a few hundred the terms dwarf the result by hundreds of
-  orders of magnitude and any float path returns garbage);
+  a loop over all weights takes C(n, 0..n // 2) from one rolling product
+  instead of one binom call per weight;
+* the alternating binomial sums S_i that carry the test-state amplitudes
+  are evaluated in exact integer arithmetic, because they cancel
+  massively (for n of a few hundred the terms dwarf the result by
+  hundreds of orders of magnitude and any float path returns garbage).
+  One generator, weight_classes, steps that rolling product and the S_i
+  recurrence together and yields (C(n, i), S_i); at n = 2k every odd
+  S_i is zero, and it steps two weights at a time;
 * log2 of a huge integer goes through bit_length plus a 54-bit
   mantissa, off by at most half an ulp of the result plus 7.4e-15
   (log2_big), so the error grows with the integer's bit count;
@@ -26,13 +29,12 @@ import math
 
 __all__ = [
     "binom",
-    "half_binomial_row",
     "binomial_row",
     "log2_big",
     "shannon_h",
     "ordered_sum",
     "entropy_terms",
-    "half_inner_sums",
+    "weight_classes",
     "inner_sum_table",
 ]
 
@@ -54,22 +56,13 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def half_binomial_row(n: int):
-    """C(n, 0), ..., C(n, n // 2), one at a time, from the rolling product
-    C(n, i+1) = C(n, i) (n - i) / (i + 1), whose divisions are exact."""
-    c = 1
-    yield c
-    for i in range(n // 2):
-        c = c * (n - i) // (i + 1)
-        yield c
-
-
 def binomial_row(n: int) -> list[int]:
-    """The exact row [C(n, 0), ..., C(n, n)]: half_binomial_row up to
+    """The exact row [C(n, 0), ..., C(n, n)]: the multiplicities
+    weight_classes(n, 0) pairs with its S_i (all 1 at k = 0) up to
     i = n // 2, and the mirror C(n, n - i) = C(n, i) above it."""
     if n < 0:
         raise ValueError(f"binomial_row requires n >= 0, got {n}")
-    head = list(half_binomial_row(n))
+    head = [c for c, _ in weight_classes(n, 0)]
     return head + head[:(n + 1) // 2][::-1]
 
 
@@ -192,42 +185,56 @@ def entropy_terms(terms, count: int, shift: int) -> list[float]:
     return out
 
 
-def half_inner_sums(n: int, k: int):
-    """S_0, ..., S_{n // 2} for fixed (n, k), one at a time, in O(n)
-    integer steps.
-
-    Uses the three-term recurrence in the weight index,
-
-        (n - i) * S_{i+1} = (n - 2k) * S_i - i * S_{i-1},
-
-    whose divisions are exact in integer arithmetic, each checked, with
-    S_i the signed amplitude sum of the weight-i Schmidt class,
+def weight_classes(n: int, k: int):
+    """(C(n, i), S_i) for fixed (n, k), one weight class i <= n // 2 at a
+    time, in O(n) integer steps, with S_i the signed amplitude sum of the
+    weight-i Schmidt class,
 
         S_i = sum_x (-1)^x * C(n-i, k-x) * C(i, x),
 
     so that a weight-i string of the (n, k) test state has squared
-    amplitude S_i**2 / (2**n * C(n, k)).  Summing that definition for
-    each i (the test suite's reference, which it cross-checks against
-    this recurrence) takes O(n^2) terms; the recurrence takes O(n), which
-    is what makes dense scans up to n = 500 cheap.
+    amplitude S_i**2 / (2**n * C(n, k)).  S_i follows the three-term
+    recurrence in the weight index,
+
+        (n - i) * S_{i+1} = (n - 2k) * S_i - i * S_{i-1},
+
+    and C(n, i) the rolling product C(n, i+1) = C(n, i) (n - i) / (i + 1).
+    At n = 2k every odd S_i is zero, and the generator steps two weights
+    at a time, yielding the even ones only: S_{i+2} = -(i + 1) S_i /
+    (n - i - 1) and C(n, i+2) = C(n, i) (n - i) (n - i - 1) / ((i + 1)
+    (i + 2)).  The divisions are exact in integer arithmetic, and each
+    one giving an S_i is checked.  Summing the definition for each i (the
+    test suite's reference) takes O(n^2) terms; the recurrence takes O(n),
+    which is what makes e_in cheap to n = 10^5.
     """
     if not (0 <= k <= n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    prev, cur, d = 0, math.comb(n, k), n - 2 * k
-    yield cur
-    for i in range(n // 2):  # at i = 0 the S_{i-1} term has coefficient 0
-        q, r = divmod(d * cur - i * prev, n - i)
-        if r:
-            raise ArithmeticError(f"inexact recurrence step at (n={n}, k={k}, i={i})")
-        prev, cur = cur, q
-        yield q
+    prev, cur, c, d = 0, math.comb(n, k), 1, n - 2 * k
+    yield c, cur
+    if d:
+        for i in range(n // 2):  # at i = 0 the S_{i-1} term has coefficient 0
+            q, r = divmod(d * cur - i * prev, n - i)
+            if r:
+                raise ArithmeticError(f"inexact recurrence step at (n={n}, k={k}, i={i})")
+            c = c * (n - i) // (i + 1)
+            prev, cur = cur, q
+            yield c, q
+    else:
+        for i in range(0, n // 2 - 1, 2):
+            cur, r = divmod(-(i + 1) * cur, n - i - 1)
+            if r:
+                raise ArithmeticError(f"inexact recurrence step at (n={n}, k={k}, i={i})")
+            c = c * ((n - i) * (n - i - 1)) // ((i + 1) * (i + 2))
+            yield c, cur
 
 
 def inner_sum_table(n: int, k: int) -> list[int]:
-    """All inner sums S_0 .. S_n for fixed (n, k): half_inner_sums up to
-    S_{n//2}, and above it the mirror S_{n-i} = (-1)^k S_i (the
-    Krawtchouk symmetry K_k(n - x) = (-1)^k K_k(x)), as in binomial_row.
+    """All inner sums S_0 .. S_n for fixed (n, k): weight_classes' S_i up
+    to S_{n//2}, 0 at the odd weights it skips at n = 2k, and above it the
+    mirror S_{n-i} = (-1)^k S_i (the Krawtchouk symmetry K_k(n - x) =
+    (-1)^k K_k(x)), as in binomial_row.
     """
-    s = list(half_inner_sums(n, k))
+    s = [0] * (n // 2 + 1)
+    s[::2 if n == 2 * k else 1] = [v for _, v in weight_classes(n, k)]
     mirror = s[:(n + 1) // 2][::-1]
     return s + ([-v for v in mirror] if k & 1 else mirror)

@@ -12,22 +12,23 @@ squared Schmidt coefficient of a weight-i string is
 
 with S_i the exact alternating sum from :mod:`triconc.exactmath`.  An
 :class:`AmplitudeTable` stores only the integers S_i (S_0 = C(n, k)) and
-derives the rationals, the normalization and the entropy from them,
-taking every C(n, i) from one rolling product.  The entropy computes
-its per-weight term once for each mirror pair (i, n - i), since
-S_{n-i} = (-1)^k S_i, and adds the terms in weight order.  The
-input entanglement is the entropy of that spectrum, which e_in takes
-in one pass over the recurrence, holding no table and squaring no wide
-S_i; the output entanglement after the compression relabeling is
-n - log2 C(n, k) in the power-of-two idealization.
-:func:`codeword_entropy` gives it exactly for the lexicographic
-codebook at any C(n, k), and for the residual state that batching
-(:mod:`triconc.protocol`) leaves, in O(log2 C(n, k)) terms by the same
-per-term values and ordered sum.  Slope fits
-of the gap are plain ``(slope, intercept, rms_residual)`` tuples.  The
-product encoding |00>/|11>, the reversible control, is a dense-oracle
-matter (:class:`triconc.oracle.PairEncoding`): relabeling orthogonal
-strings moves no entanglement, so it needs no closed form here.
+derives the rationals and the normalization from them.  The input
+entanglement is the entropy of that spectrum, which e_in (and
+AmplitudeTable.entropy) takes in one pass over the (C(n, i), S_i) pairs
+of :func:`triconc.exactmath.weight_classes`, holding no table and
+squaring no wide S_i; at n = 2k that generator steps two weights at a
+time, past the zero odd-weight S_i.  The entropy computes its per-weight
+term once for each mirror pair (i, n - i), since S_{n-i} = (-1)^k S_i,
+and adds the terms in weight order.  The output entanglement after the
+compression relabeling is n - log2 C(n, k) in the power-of-two
+idealization.  :func:`codeword_entropy` gives it exactly for the
+lexicographic codebook at any C(n, k), and for the residual state that
+batching (:mod:`triconc.protocol`) leaves, in O(log2 C(n, k)) terms by
+the same per-term values and ordered sum.  Slope fits of the gap are
+plain ``(slope, intercept, rms_residual)`` tuples.  The product encoding
+|00>/|11>, the reversible control, is a dense-oracle matter
+(:class:`triconc.oracle.PairEncoding`): relabeling orthogonal strings
+moves no entanglement, so it needs no closed form here.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ from .exactmath import (
     binom,
     binomial_row,
     entropy_terms,
-    half_binomial_row,
-    half_inner_sums,
     inner_sum_table,
     log2_big,
     ordered_sum,
+    weight_classes,
 )
 
 if TYPE_CHECKING:
@@ -111,27 +111,31 @@ class AmplitudeTable(record("AmplitudeTable", "n k s")):
         return Fraction(total, (1 << self.n) * self.s[0])
 
     def entropy(self) -> float:
-        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits, from the integers."""
-        return _spectrum_entropy(self.n, self.s)
+        """-sum_i C(n, i) xi_i^2 log2(xi_i^2), in ebits: e_in's float, from
+        the pass over weight_classes that fills s."""
+        return _spectrum_entropy(self.n, self.k)[0]
 
 
-def _spectrum_entropy(n: int, roots) -> float:
-    """The test-state entropy from S_0 = C(n, k), S_1, ..., S_{n//2}, the
-    leading items of roots, in one pass: each C(n, i) comes from the
-    rolling half_binomial_row as the loop reaches weight i.
+def _spectrum_entropy(n: int, k: int) -> tuple[float, int]:
+    """The (n, k) test-state entropy and C(n, k), in one pass over the
+    (C(n, i), S_i) of weight_classes, which holds no table.
 
     C(n, n - i) = C(n, i) and S_{n-i} = (-1)^k S_i (the Krawtchouk
     symmetry K_k(n - x) = (-1)^k K_k(x)), so weights i and n - i give
     the same term: each term is computed once, for i <= n // 2, and the
     terms are added in weight order 0..n.  A zero S_i gives the term
-    0.0, which leaves the ordered sum as it was."""
-    roots = iter(roots)
-    count = next(roots)
-    terms = entropy_terms(zip(half_binomial_row(n), chain((count,), roots)), count, n)
-    # weights above n / 2 repeat those below it in reverse order; an even
-    # n's middle weight n / 2 is its own mirror
-    mirrored = terms if n & 1 else terms[:-1]
-    return ordered_sum(terms + mirrored[::-1])
+    0.0, and so does each odd weight that weight_classes skips at
+    n = 2k: every term is >= 0 and the sum starts at +0.0, so leaving
+    them out of the ordered sum changes no float."""
+    pairs = weight_classes(n, k)
+    head = next(pairs)  # (C(n, 0), S_0) = (1, C(n, k))
+    count = head[1]
+    terms = entropy_terms(chain((head,), pairs), count, n)
+    # weights above n / 2 repeat those below it in reverse order; the
+    # middle weight n / 2 is its own mirror at even n, and at n = 2k it is
+    # skipped unless n = 0 (mod 4), where it is even
+    mirrored = terms[:-1] if n % (4 if n == 2 * k else 2) == 0 else terms
+    return ordered_sum(terms + mirrored[::-1]), count
 
 
 def codeword_entropy(count: int, n: int) -> float:
@@ -205,9 +209,9 @@ def amplitude_table(spec: TestStateSpec) -> AmplitudeTable:
 
 def e_in(spec: TestStateSpec) -> float:
     """Entanglement (ebits) of the test state across the B|C cut: the
-    entropy of its xi^2 spectrum, as AmplitudeTable.entropy gives it, in
-    one pass over the recurrence that holds no table."""
-    return _spectrum_entropy(spec.n, half_inner_sums(spec.n, spec.k))
+    entropy of its xi^2 spectrum, in one pass over the recurrence that
+    holds no table."""
+    return _spectrum_entropy(spec.n, spec.k)[0]
 
 
 def e_out(spec: TestStateSpec) -> float:
@@ -248,11 +252,8 @@ def gap_scan(p: float, n_list: list[int]) -> list[EntanglementReport]:
     for n in n_list:
         k = _k_for(n, p)
         spec = TestStateSpec(n=n, k=k)
-        roots = half_inner_sums(spec.n, spec.k)
-        count = next(roots)
-        reports.append(EntanglementReport(
-            n=n, k=k, e_in=_spectrum_entropy(spec.n, chain((count,), roots)),
-            e_out=spec.n - log2_big(count)))
+        e, count = _spectrum_entropy(spec.n, spec.k)
+        reports.append(EntanglementReport(n=n, k=k, e_in=e, e_out=spec.n - log2_big(count)))
     return reports
 
 

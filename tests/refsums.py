@@ -3,7 +3,7 @@ squaring route to the test-state entropy, and 60-digit Decimal forms of
 e_in and of codeword_entropy.
 
 The library computes S_0 .. S_n by a three-term recurrence
-(:func:`triconc.exactmath.half_inner_sums`); inner_sum is the definition
+(:func:`triconc.exactmath.weight_classes`); inner_sum is the definition
 it is checked against, one alternating binomial sum per weight.
 
 The library's entropy squares no S_i where its leading bits settle the

@@ -187,12 +187,15 @@ class TestPinnedExactScan:
          "5fa5aaa53c8ac54505ab0a286f1d504b4b465f144cc8ab2a1ddefce38dacb181"),
         ("fig2 --p 0.8 --n-max 20000 --step 4000",
          "4c1259c0eb6e303eb02c8452da2a3a0315422b3f6db50384e30d5eace3cc742a"),
+        ("fig2 --p 0.5 --n-max 20000 --step 4000",
+         "978f79eee79248ee6327b2ca5cc9e8578e6e7fd43ee5ab897151871205ec2433"),
     ])
     def test_pinned_bytes(self, tmp_path, args, sha256):
         # sha256 of the datasets the exact entropy gave when every weight
-        # was the exact int ratio (mult * w) / T, rounded once; that of
-        # the scan to n = 20000 when every S_i was squared in full, where
-        # most S_i are now cut to their leading bits instead
+        # was the exact int ratio (mult * w) / T, rounded once; those of
+        # the scans to n = 20000 when every S_i was squared in full, where
+        # most S_i are now cut to their leading bits instead, and (at
+        # p = 0.5) when the recurrence stepped one weight at a time
         code, text = run_cli(args.split(), tmp_path)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == sha256

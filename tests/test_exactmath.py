@@ -26,6 +26,7 @@ from triconc.exactmath import (
     log2_big,
     ordered_sum,
     shannon_h,
+    weight_classes,
 )
 
 
@@ -354,7 +355,8 @@ class TestInnerSumTable:
                                     if n // 2 < j <= n})
 
     def test_recurrence_stops_at_half(self, monkeypatch):
-        # n // 2 checked divisions, whatever the parity of n and k
+        # n // 2 checked divisions, whatever the parity of n and k, and
+        # half as many at n = 2k, one per even weight past 0 up to n // 2
         divisions = []
 
         def counting_divmod(a, b):
@@ -362,10 +364,28 @@ class TestInnerSumTable:
             return divmod(a, b)
 
         monkeypatch.setattr(exactmath, "divmod", counting_divmod, raising=False)
-        for n, k in ((0, 0), (1, 1), (7, 3), (8, 3), (9, 4)):
+        for n, k in ((0, 0), (1, 1), (7, 3), (8, 3), (9, 4), (2, 1), (8, 4), (10, 5)):
             divisions.clear()
             assert inner_sum_table(n, k) == [inner_sum(n, k, i) for i in range(n + 1)]
-            assert divisions == [n - i for i in range(n // 2)]
+            if n == 2 * k:
+                assert divisions == [n - i - 1 for i in range(0, n // 2 - 1, 2)]
+            else:
+                assert divisions == [n - i for i in range(n // 2)]
+
+    @pytest.mark.parametrize("n", list(range(0, 201, 2)) + [2000, 5000])
+    def test_two_step_values_against_closed_form(self, n):
+        # at n = 2k = 2m, S_2j = (-1)^j C(m, j) C(n, m) / C(n, 2j) and every
+        # odd S_i is 0: math.comb alone, no recurrence.  weight_classes
+        # yields the even weights only, each with its C(n, i)
+        m, want = n // 2, [0] * (n + 1)
+        row = {i: math.comb(n, i) for i in range(0, m + 1, 2)}  # C(n, n - i) = C(n, i)
+        centre = math.comb(n, m)
+        for j in range(m + 1):
+            q, r = divmod(math.comb(m, j) * centre, row[min(2 * j, n - 2 * j)])
+            assert not r, (n, j)
+            want[2 * j] = -q if j & 1 else q
+        assert inner_sum_table(n, m) == want
+        assert list(weight_classes(n, m)) == [(c, want[i]) for i, c in row.items()]
 
 
 class TestExactEntropy:

@@ -178,16 +178,18 @@ class TestEntropies:
 
     def test_e_in_bit_identical_to_squaring_sampled_to_n20000(self):
         # most S_i here are wide, cut to their leading bits and never
-        # squared; the squaring route squares every one of them.  e_in
-        # runs the recurrence without a table, AmplitudeTable.entropy from
-        # the stored one
+        # squared; the squaring route squares every one of them.  At
+        # k = n / 2 e_in steps two weights at a time, and the middle weight
+        # is its own mirror at n = 0 (mod 4) and odd and zero at n = 2
+        # (mod 4); the squaring route takes every weight from the table
         rng = random.Random(20000)
-        cases = [(20000, 16000), (12345, 6173)]
+        cases = [(20000, 16000), (12345, 6173), (10000, 5000), (19998, 9999), (20000, 10000)]
         cases += [(n, rng.randrange(n + 1)) for n in sorted(rng.sample(range(3000, 10001), 4))]
-        for n, k in cases:
+        halves = [(n, n // 2) for n in range(2, 401, 2)]
+        for n, k in cases + halves:
             assert e_in(TestStateSpec(n, k)) == squaring_entropy(n, k), (n, k)
-        spec = TestStateSpec(*cases[1])
-        assert amplitude_table(spec).entropy() == e_in(spec)
+        for spec in [TestStateSpec(*nk) for nk in [cases[1]] + halves]:
+            assert amplitude_table(spec).entropy() == e_in(spec), spec
 
     def test_e_in_within_derived_bound_of_decimal(self):
         # tests/refsums.py's 60-digit Decimal entropy shares no float step
@@ -198,6 +200,7 @@ class TestEntropies:
         configs = [(n, k) for n in range(1, 41) for k in range(n + 1)]
         configs += [(49, 17), (94, 33), (120, 40), (200, 160), (500, 250),
                     (1000, 800), (2000, 1000)]
+        configs += [(n, n // 2) for n in range(42, 401, 2)]  # every even n <= 400 at k = n / 2
         configs += [(n, rng.randrange(n + 1)) for n in rng.sample(range(41, 600), 4)]
         for n, k in configs:
             e = e_in(TestStateSpec(n, k))
