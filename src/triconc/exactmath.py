@@ -1,6 +1,6 @@
 """Exact combinatorics and base-2 entropy primitives.
 
-Everything downstream leans on four guarantees made here:
+Everything downstream leans on five guarantees made here:
 
 * binomial coefficients are arbitrary-precision integers, never floats;
   a loop over all weights takes C(n, 0..n // 2) from one rolling product
@@ -15,6 +15,9 @@ Everything downstream leans on four guarantees made here:
 * log2 of a huge integer goes through bit_length plus a 54-bit
   mantissa, off by at most half an ulp of the result plus 7.4e-15
   (log2_big), so the error grows with the integer's bit count;
+* a bracket lo 2^e <= D <= hi 2^e still holds D when cut to its
+  leading bits (cut), and log2_bracket is log2_big(D) where both ends
+  share their leading 54 bits: the exact D's float, decided from a bracket;
 * each weight of an entropy (entropy_terms) is the exact int ratio,
   rounded once, and each log2 that of log2_big; both are decided from
   the leading bits of their integers when those settle them, and from
@@ -31,6 +34,8 @@ __all__ = [
     "binom",
     "binomial_row",
     "log2_big",
+    "log2_bracket",
+    "cut",
     "shannon_h",
     "ordered_sum",
     "entropy_terms",
@@ -77,11 +82,38 @@ def log2_big(x: int) -> float:
     """
     if x <= 0:
         raise ValueError(f"log2_big requires a positive integer, got {x}")
-    nbits = x.bit_length()
-    if nbits <= 53:
-        return math.log2(x)
-    shift = nbits - 54
-    return shift + math.log2(x >> shift)
+    return log2_bracket(x, x)
+
+
+def log2_bracket(lo: int, hi: int, e: int = 0) -> float | None:
+    """log2_big(D) for every integer D with lo 2^e <= D <= hi 2^e (0 < lo
+    <= hi, e >= 0), or None where the two ends differ in their leading 54
+    bits: log2_big(D) is t + log2(D >> t), t = max(bit length - 54, 0),
+    and where both ends agree above bit t (t taken at hi), so does every
+    D between them, with hi's bit length."""
+    t = max(hi.bit_length() + e - 54, 0)
+    top = lo << e >> t
+    if top != hi << e >> t:
+        return None
+    return t + math.log2(top)
+
+
+def cut(lo: int, hi: int, e: int, bits: int) -> tuple[int, int, int]:
+    """The bracket lo 2^e <= D <= hi 2^e cut to hi's leading `bits` bits,
+    lo rounded down and hi up, so that it still holds D.
+
+    Where hi < 2 lo, a cut leaves hi `bits` bits (or 2^bits, where
+    rounding up carries) and lo at least bits - 1, so it moves lo down by
+    under 2^-(bits-2) of itself and hi up by under 2^-(bits-1), widening
+    ln(hi / lo) by under 2^-(bits-3): 2^-125 at 128 bits.  A multiply by
+    an exact integer leaves the width as it is, and a product of brackets
+    adds their widths.  So a bracket that has taken at most 2 * 10^4 <
+    2^15 cuts to 128 bits, as the batching walk's bracket of a row of 10^4
+    batches has, stays below 2^-110 relative."""
+    shift = hi.bit_length() - bits
+    if shift <= 0:
+        return lo, hi, e
+    return lo >> shift, -(-hi >> shift), e + shift
 
 
 def shannon_h(p: float) -> float:
@@ -123,15 +155,15 @@ def entropy_terms(terms, count: int, shift: int) -> list[float]:
     test state reaches the bracket).  float() of an int rounds correctly
     and monotonically, so where both ends give one float that, scaled,
     is above 2^-1022 (where scaling is exact), it is the correctly
-    rounded weight.  log2_big(w) reads the leading 54 bits of w, which
-    are those of s^2 where s^2 and (s+1)^2 share them and their bit
-    length.  Where mult and w have at most T.bit_length() - 1076 bits
-    between them the weight is below 2^-1075 and rounds to 0.0.
-    Otherwise (a rounding boundary between the ends, a few terms in a
-    thousand for the test states, or a subnormal weight) the root is
-    squared, and the weight is the exact (mult * w) / T, as it is
-    wherever mult * w is narrower than _MIN_BRACKET_BITS, there the
-    cheaper."""
+    rounded weight.  log2_big(w) is log2_bracket(s^2, (s+1)^2, 2e) where
+    that is a float, worked out inline here (a call per term would cost
+    more than the rest of the step).  Where mult and w have at most
+    T.bit_length() - 1076 bits between them the weight is below 2^-1075
+    and rounds to 0.0.  Otherwise (a rounding boundary between the ends,
+    a few terms in a thousand for the test states, or a subnormal
+    weight) the root is squared, and the weight is the exact (mult * w)
+    / T, as it is wherever mult * w is narrower than _MIN_BRACKET_BITS,
+    there the cheaper."""
     total_w = count << shift
     log2_total = shift + log2_big(count)
     top, min_bits, min_normal = _TOP_BITS, _MIN_BRACKET_BITS, 2.0**-1022

@@ -97,20 +97,15 @@ class PairEncoding:
     def _complement(self) -> np.ndarray:
         """(2, 4) orthonormal rows, conjugated like <theta| and <tau|, of the
         pair states orthogonal to both: Gram-Schmidt on the columns of the
-        complement projector I - A^T A* (A the rows theta, tau), each time
-        on the column with the most norm left, which is at least 1/2 (a
-        rank-r projector on C^4 has a diagonal entry of at least r / 4).
-        The column is projected once more off theta, tau and the rows
-        taken before it, so the rows are orthogonal to those to a few
-        ulps; no LAPACK routine is called."""
+        projector Q = I - A^T A* off the rows A so far (theta, tau first),
+        each on the column with the most norm left (at least 1/2), taken
+        through Q twice so that the rows are orthogonal to a few ulps.  No
+        LAPACK routine runs (a first one costs about 1 MB of peak memory)."""
         a = np.stack([self.theta.reshape(-1), self.tau.reshape(-1)])
-        q = np.eye(4) - a.T @ a.conj()
         for _ in range(2):
-            col = q[:, np.argmax((q * q.conj()).real.sum(axis=0))]
-            col = col - a.T @ (a.conj() @ col)
-            u = col / math.sqrt(_square_norm(col))
-            q = q - np.outer(u, u.conj() @ q)
-            a = np.vstack([a, u])
+            q = np.eye(4) - a.T @ a.conj()
+            col = q @ q[:, np.argmax((q * q.conj()).real.sum(axis=0))]
+            a = np.vstack([a, col / math.sqrt(_square_norm(col))])
         return a[2:].conj()
 
     @functools.cached_property

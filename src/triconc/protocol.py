@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from ._records import integer, record
-from .exactmath import binom, log2_big
+from .exactmath import binom, cut, log2_big, log2_bracket
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,30 +187,25 @@ def run_trials(
     k, of entry m of the power table of k, m the count of k in the row,
     where entry m brackets C(n, k)^m as entry m - 1 times C(n, k).  After
     each multiply, in the tables and in the product, both bounds are cut
-    to their leading _BRACKET_BITS = 128 bits (_cut), lo rounded down and
-    hi up.  The tables are shared by every run of the call and grow one
-    entry at a time, as far as a row needs.  The bracket decides l where
-    lo 2^e and hi 2^e have one bit length, and eps_prime where (lo -
-    2^s) / 2^s and (hi - 2^s) / 2^s, s = bit length of lo - 1, round to
-    the same float; in the switch search, lo and hi are multiplied on by
-    each exact C(n, k) and decide the bit length against _EXACT_BITS,
-    and log2_big(D_M) where lo 2^e and hi 2^e agree on their leading 54
-    bits.  Python's int / int rounds correctly and rounding is monotone,
-    so a float both ends give is the float the exact D_M gives, and
-    every result is that of the exact product.  What the bracket leaves
-    open is decided again on D_M rebuilt exactly from the count of each
-    k, as the bracket (D_M, D_M, 0).  That is rare.  A cut leaves hi 128
-    bits and lo at least 127, so it moves lo down by under 2^-126 of
-    itself and hi up by under 2^-127, widening ln(hi / lo) by under
-    2^-125; a multiply by an exact C(n, k) leaves the width as it is,
-    and a product of brackets adds their widths.  Entry m of a table has
-    taken at most m cuts and the product one per distinct k, so a row of
-    M <= _MAX_BATCHES = 10^4 batches has taken at most 2M < 2^15 cuts,
-    and its bracket stays below 2^-110 relative.  eps_prime is then
-    known to within 2^-109, while its floats near epsilon = 0.001 are
-    2^-62 apart, and the leading 54 bits of D_M to within 2^-56 of a
-    unit; 2000 runs at n = 20 and epsilon 0.1, 0.01 or 0.001 build no
-    exact D_M.
+    to their leading _BRACKET_BITS = 128 bits (exactmath.cut), lo rounded
+    down and hi up.  The tables are shared by every run of the call and
+    grow one entry at a time, as far as a row needs.  The bracket decides
+    l where lo 2^e and hi 2^e have one bit length, and eps_prime where
+    (lo - 2^s) / 2^s and (hi - 2^s) / 2^s, s = bit length of lo - 1,
+    round to the same float; in the switch search, lo and hi are
+    multiplied on by each exact C(n, k) and decide the bit length
+    against _EXACT_BITS, and log2_big(D_M) where exactmath.log2_bracket
+    settles it.  Python's int / int rounds correctly and rounding is
+    monotone, so a float both ends give is the float the exact D_M
+    gives, and every result is that of the exact product.  What the
+    bracket leaves open is decided again on the exact product, as the
+    bracket (D_M, D_M, 0).  That is rare: a row of M <= _MAX_BATCHES
+    batches has taken at most 2M cuts (m in entry m of a table, one per
+    distinct k), so its bracket stays below 2^-110 relative (cut).
+    eps_prime is then known to within 2^-109, while its floats near
+    epsilon = 0.001 are 2^-62 apart, and the leading 54 bits of D_M to
+    within 2^-56 of a unit; 2000 runs at n = 20 and epsilon 0.1, 0.01 or
+    0.001 build no exact D_M.
 
     The draws are numpy's own, got in bulk.  Run i's generator is PCG64
     seeded with the state words of SeedSequence([seed, i]), whose hash
@@ -312,25 +307,27 @@ class _Ranks:
             c = c * j // (n - j + 1)
         return c
 
-    def product(self, ks: np.ndarray) -> int:
-        """prod C(n, k) over the k of ks, exactly."""
-        return _power_product(self.exact, {k: m for k, m in self._counts(ks) if m})
+    def _product(self, ks: np.ndarray) -> int:
+        """prod C(n, k) over the k of ks, exactly, in order."""
+        exact = self.exact
+        return math.prod([exact[k] for k in ks.tolist()])
+
+    product = _product  # settle's fallback: its calls count the fallbacks
 
     def bracket(self, ks: np.ndarray) -> tuple[int, int, int]:
         """(lo, hi, e) with lo 2^e <= prod C(n, k) over the k of ks <= hi 2^e.
 
-        A row of at most _SHORT_ROW k gets the exact product, in order, as
-        (d, d, 0).  A longer one gets the product, over its k in increasing
-        order, of the power-table entry of C(n, k)^(count of k), _cut after
-        each multiply.  The table of k holds at m the bracket of C(n, k)^m,
-        entry m - 1 times C(n, k), _cut; it grows as far as a row needs.  A
-        k with C(n, k) = 1 (k = 0 or n) leaves the product as it is and gets
-        no table."""
-        exact = self.exact
+        A row of at most _SHORT_ROW k gets the exact product as (d, d, 0).
+        A longer one gets the product, over its k in increasing order, of
+        the power-table entry of C(n, k)^(count of k), cut after each
+        multiply.  The table of k holds at m the bracket of C(n, k)^m, entry
+        m - 1 times C(n, k), cut; it grows as far as a row needs.  A k with
+        C(n, k) = 1 (k = 0 or n) leaves the product as it is and gets no
+        table.  exactmath.cut bounds the bracket's width."""
         if ks.size <= _SHORT_ROW:
-            d = math.prod([exact[k] for k in ks.tolist()])
+            d = self._product(ks)
             return d, d, 0
-        n, powers = self.n, self.powers
+        n, exact, powers, bits = self.n, self.exact, self.powers, _BRACKET_BITS
         lo = hi = 1
         e = 0
         for k, m in self._counts(ks):
@@ -341,9 +338,9 @@ class _Ranks:
                 table = powers[k] = [(1, 1, 0)]
             while len(table) <= m:
                 t_lo, t_hi, t_e = table[-1]
-                table.append(_cut(t_lo * exact[k], t_hi * exact[k], t_e))
+                table.append(cut(t_lo * exact[k], t_hi * exact[k], t_e, bits))
             t_lo, t_hi, t_e = table[m]
-            lo, hi, e = _cut(lo * t_lo, hi * t_hi, e + t_e)
+            lo, hi, e = cut(lo * t_lo, hi * t_hi, e + t_e, bits)
         return lo, hi, e
 
     def settle(self, ks: np.ndarray, decide: Callable, *args: object) -> object:
@@ -466,15 +463,6 @@ def _walk(
     return results
 
 
-def _cut(lo: int, hi: int, e: int) -> tuple[int, int, int]:
-    """The bracket lo 2^e <= D <= hi 2^e cut to hi's leading _BRACKET_BITS
-    bits, lo rounded down and hi up, so that it still holds D."""
-    cut = hi.bit_length() - _BRACKET_BITS
-    if cut <= 0:
-        return lo, hi, e
-    return lo >> cut, -(-hi >> cut), e + cut
-
-
 def _stop_point(lo: int, hi: int, e: int) -> tuple[int, float] | None:
     """(l, eps_prime) of D_M from lo 2^e <= D_M <= hi 2^e, or None where
     the bracket leaves either open: l when lo and hi have one bit length,
@@ -494,11 +482,8 @@ def _switch_point(
     """(i, log2_big(D)) for the first i at which D = D_M times C(n, k)
     over the first i k of later is wider than exact_bits bits, or
     (len(later), None) if none is, from lo 2^e <= D_M <= hi 2^e; None
-    where the bracket leaves the bit length or log2_big(D) open.
-
-    log2_big(D) is t + log2 of D's bits above bit t, t = bit length - 54
-    (0 if that is negative), so it is settled where lo 2^e and hi 2^e
-    agree on those bits."""
+    where the bracket leaves the bit length or log2_big(D) open
+    (exactmath.log2_bracket)."""
     i = 0
     while lo.bit_length() + e <= exact_bits:
         if hi.bit_length() + e > exact_bits:
@@ -507,11 +492,8 @@ def _switch_point(
             return i, None
         c = exact[int(later[i])]
         lo, hi, i = lo * c, hi * c, i + 1
-    t = max(hi.bit_length() + e - 54, 0)
-    top = lo << e >> t
-    if top != hi << e >> t:
-        return None
-    return i, t + math.log2(top)
+    log2_d = log2_bracket(lo, hi, e)
+    return None if log2_d is None else (i, log2_d)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for a
@@ -764,13 +746,3 @@ def _inversion_thresholds(px: list[float]) -> list[float]:
         top = max(top, lo)
         thresholds.append(top * 2.0**-53)
     return thresholds
-
-
-def _power_product(base: dict[int, int], exp: dict[int, int]) -> int:
-    """prod_k base[k] ** exp[k] over the keys of exp, by Horner's rule
-    over the exponents' bits: one squaring of the running product per
-    bit, then one multiply by the bases whose exponent has that bit set."""
-    d = 1
-    for j in range(max(exp.values()).bit_length() - 1, -1, -1):
-        d = d * d * math.prod([base[k] for k, e in exp.items() if e >> j & 1])
-    return d

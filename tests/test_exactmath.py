@@ -11,9 +11,10 @@ import math
 import random
 from collections import Counter
 from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refsums import inner_sum
@@ -21,9 +22,11 @@ from triconc import exactmath
 from triconc.exactmath import (
     binom,
     binomial_row,
+    cut,
     entropy_terms,
     inner_sum_table,
     log2_big,
+    log2_bracket,
     ordered_sum,
     shannon_h,
     weight_classes,
@@ -252,6 +255,81 @@ class TestLog2Big:
         with pytest.raises(ValueError):
             log2_big(-5)
 
+    def test_is_the_exact_bracket_of_x(self):
+        # log2_big(x) is log2_bracket(x, x), and both are the 54-bit rule
+        # its docstring states: log2(x) to 53 bits, shift + log2(x >> shift)
+        # past them, shift = bit length - 54
+        rng = random.Random(0x54)
+        for bits in [*range(1, 200), 1000, 6000, 20000]:
+            for x in (1 << bits - 1, (1 << bits) - 1, rng.getrandbits(bits) | 1 << bits - 1):
+                shift = bits - 54
+                rule = math.log2(x) if bits <= 53 else shift + math.log2(x >> shift)
+                assert log2_big(x) == log2_bracket(x, x) == rule, x
+
+
+def _top54(x):
+    """The leading 54 bits of the positive integer x (all of them if fewer)."""
+    return x >> max(x.bit_length() - 54, 0)
+
+
+@st.composite
+def _brackets(draw, max_bits=400):
+    """(lo, hi, e) with 0 < lo <= hi and e >= 0: hi = lo + a gap that is
+    either a few units or up to lo itself."""
+    lo = draw(st.integers(1, 2**draw(st.integers(1, max_bits))))
+    gap = draw(st.one_of(st.integers(0, 4), st.integers(0, lo - 1)))
+    return lo, lo + gap, draw(st.integers(0, 200))
+
+
+class TestBrackets:
+    """cut and log2_bracket, the two helpers through which the batching
+    walk decides D_M from a bracket lo 2^e <= D_M <= hi 2^e."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(bracket=_brackets(), bits=st.integers(4, 200), at=st.floats(0.0, 1.0))
+    # near the widest cut: lo at the bottom of its range, all of its cut
+    # bits set, and hi just past a power of two
+    @example(bracket=(2**26 + 2**21 - 1, 2**27 + 1, 0), bits=8, at=0.5)
+    def test_cut_holds_d_and_widens_under_its_bound(self, bracket, bits, at):
+        # the cut bracket still holds every D of the old one, hi is at most
+        # bits wide (or 2^bits, where rounding it up carries; 61 cut to 4
+        # bits is 16 * 2^2), and (hi < 2 lo) ln(hi / lo) grows by under
+        # 2^-(bits-3): by at most x1 + x2, hi growing by 1 + x1 and lo
+        # shrinking by 1 + x2
+        lo, hi, e = bracket
+        d = (lo << e) + int(at * ((hi - lo) << e))
+        c_lo, c_hi, c_e = cut(lo, hi, e, bits)
+        assert c_lo << c_e <= lo << e <= d <= hi << e <= c_hi << c_e
+        assert c_hi.bit_length() <= bits or c_hi == 1 << bits
+        if hi.bit_length() <= bits:
+            assert (c_lo, c_hi, c_e) == (lo, hi, e)
+        shift = c_e - e
+        x1 = Fraction((c_hi << shift) - hi, hi)
+        x2 = Fraction(lo - (c_lo << shift), c_lo << shift)
+        assert x1 + x2 < Fraction(8, 2**bits)
+
+    @settings(max_examples=500, deadline=None)
+    @given(bracket=_brackets(), at=st.floats(0.0, 1.0))
+    def test_log2_bracket_is_log2_big_of_both_ends(self, bracket, at):
+        # a float wherever both ends have one bit length and leading 54 bits,
+        # log2_big of them and of every D between; None everywhere else
+        lo, hi, e = bracket
+        ends = lo << e, hi << e
+        d = ends[0] + int(at * (ends[1] - ends[0]))
+        got = log2_bracket(lo, hi, e)
+        same = (ends[0].bit_length() == ends[1].bit_length()
+                and _top54(ends[0]) == _top54(ends[1]))
+        assert (got is not None) == same
+        if same:
+            assert got == log2_big(ends[0]) == log2_big(ends[1]) == log2_big(d)
+
+    def test_log2_bracket_at_54_bits(self):
+        top = 1 << 53
+        assert log2_bracket(top, top + 1) is None  # 54 bits each, differing in the last
+        assert log2_bracket(top << 1, (top << 1) + 1) == 54.0  # 55: the last is dropped
+        assert log2_bracket(top - 1, top) is None  # across a power of two
+        assert log2_bracket(3, 3, 100) == log2_big(3 << 100)
+
 
 class TestShannonH:
     def test_maximal(self):
@@ -458,6 +536,31 @@ class TestExactEntropy:
             exact = sum(r.ratio for _, r in tracked)
             assert got == want and (exact < 0.1 * len(terms) if top == 64
                                     else exact == len(terms))
+
+    def test_leading_bits_log2_is_log2_bracket(self):
+        # entropy_terms takes log2(w) of a cut root inline: on every term it
+        # settles from leading bits that is log2_bracket of the bracket it
+        # squares the cut root to, and every root it squares for log2_big
+        # alone is one whose bracket log2_bracket leaves open
+        terms, count, shift = _test_state_terms(2000, 800)
+        tracked = _track_wide(terms)
+        got = entropy_terms(tracked, count, shift)
+        total_w, log2_total = count << shift, shift + log2_big(count)
+        settled = Counter()
+        for (mult, root), term in zip(tracked, got):
+            if not isinstance(root, _Root) or root.ratio or not term:
+                continue
+            e = max(root.bit_length() - exactmath._TOP_BITS, 0)
+            s = int(root) >> e
+            s = ~s if s < 0 else s
+            log2_w = log2_bracket(s * s, (s + 1) * (s + 1), 2 * e)
+            if root.squared:
+                assert log2_w is None
+            else:
+                weight = (mult * int(root) ** 2) / total_w
+                assert term == -(weight * (log2_w - log2_total))
+            settled[root.squared] += 1
+        assert settled[False] > 100 * settled[True] > 0, settled
 
     def test_subnormal_and_underflowing_weights(self):
         # wide operands whose weight is near or below 2^-1022: the bracket

@@ -400,8 +400,8 @@ class TestSpanResidual:
                     assert residual < 1e-14
 
     def test_complement_rows_are_orthonormal_to_the_pair(self):
-        # a single Gram-Schmidt pass leaves about 1 in 1000 random pairs
-        # (seeds 369 and 730 here) above 1e-15 off theta or tau
+        # 1000 random pairs: a single Gram-Schmidt pass would leave about 1
+        # in 1000 (seeds 369 and 730 here) above 1e-15 off theta or tau
         for enc in [BELL, PROD, PHASED] + [random_pair(seed) for seed in range(1000)]:
             w_perp = enc._complement
             signal = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)])
