@@ -21,23 +21,22 @@ Exit codes: 0 success, 1 oracle-check found a delta, 2 bad input or an
 unwritable --out, 3 internal error (any other fault, e.g. a failed invariant
 or, for oracle-check, batch and eof, a numpy that cannot be imported).
 
-Importing this module loads no numpy: fig2 and fig3 are exact integer
-arithmetic and never touch it.  oracle-check imports the dense oracle,
-and batch the batching protocol, inside the command, so no other
-command compiles them; batch and eof import numpy only when they run.
-teststate, exactmath and eof stay module-level imports: fig2, fig3 and
-oracle-check need the first two anyway, perfbench/job.py times `import
-triconc.cli` as set-up and imports teststate right after it (so a lazy
-teststate would only move its cost out of that timing), and eof is
-small and is wrapped by tracers installed after this module is
-imported.  Nor does it load dataclasses (and its inspect), json or
-fractions (and its decimal), which no command needs to start: the
-package's records are named tuples, json loads with the first JSON
-document, and fractions with the first Fraction built
-(AmplitudeTable.xi_sq and .normalization()); no command builds one, an
-inferred fig2 or fig3 grid step included.  A record copies with
-_replace and converts with _asdict, in place of dataclasses.replace and
-asdict, and equals the plain tuple of its fields.
+A module that needs numpy imports it at the top, and this module imports
+each such module (oracle, protocol, eof) inside the command that uses
+it, so importing it loads no numpy: fig2 and fig3 are exact integer
+arithmetic and never touch it.  teststate and exactmath stay
+module-level imports: fig2, fig3 and oracle-check need them anyway, and
+perfbench/job.py times `import triconc.cli` as set-up and imports
+teststate right after it, so a lazy teststate would only move its cost
+out of that timing.  Nor does importing this module load dataclasses
+(and its inspect), json or fractions (and its decimal), which no
+command needs to start: the package's records are named tuples, json
+loads with the first JSON document, and fractions with the first
+Fraction built (AmplitudeTable.xi_sq and .normalization()); no command
+builds one, an inferred fig2 or fig3 grid step included.  A record
+copies with _replace and converts with _asdict, in place of
+dataclasses.replace and asdict, and equals the plain tuple of its
+fields.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import sys
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from . import eof as eof_mod
 from . import teststate
 from .exactmath import ordered_sum
 
@@ -364,11 +362,13 @@ def _run_batch(args: argparse.Namespace) -> tuple[
 # ------------------------------------------------------------------ eof
 
 def cmd_eof(p_grid: list[float]) -> tuple[list[str], list[list[object]]]:
+    from . import eof  # the only command that builds density matrices
+
     header = ["p", "ef_in", "ef_out", "locking_deficit", "s_a", "s_b"]
     rows: list[list[object]] = [
         [float(led.p), led.ef_in_per_copy, led.ef_out_per_copy,
          led.locking_deficit_per_copy, led.s_a_per_copy, led.s_b_per_copy]
-        for led in eof_mod.ledgers(p_grid)
+        for led in eof.ledgers(p_grid)
     ]
     return header, rows
 

@@ -8,21 +8,18 @@ The ledger also records the per-copy output value 1 - H(p), the locking
 deficit H(1/2 + sqrt(p(1-p))) + H(p) - 1 that assistance from A would
 have to fund, and the conserved one-party entropies.  A grid of p is one
 pass over the (P, 4, 4) stack of its reductions: each check, eigh,
-product and svd runs once.  numpy (and the oracle's Bell pair) load
-only inside the functions that use them, not at import.
+product and svd runs once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ._records import record
 from .exactmath import shannon_h
-
-if TYPE_CHECKING:
-    import numpy as np
+from .oracle import PairEncoding
 
 __all__ = [
     "EofLedger",
@@ -33,14 +30,8 @@ __all__ = [
     "ledgers",
 ]
 
-
-@functools.cache
-def _yy() -> np.ndarray:
-    """Y x Y, built on first use so that importing the module loads no numpy."""
-    import numpy as np
-
-    pauli_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    return np.kron(pauli_y, pauli_y)
+_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_YY = np.kron(_PAULI_Y, _PAULI_Y)  # Y x Y
 
 
 class EofLedger(record("EofLedger", "p ef_in_per_copy ef_out_per_copy "
@@ -68,10 +59,6 @@ def rp_reduced_bc(p) -> np.ndarray:
     for an array of p the (..., 4, 4) stack of them.  theta and tau are
     the (|00> +- |11>)/sqrt2 pair of :meth:`PairEncoding.bell`, so the
     result is Bell-diagonal by construction."""
-    import numpy as np
-
-    from .oracle import PairEncoding
-
     p = np.asarray(p, dtype=float)
     bad = p[~((0.0 <= p) & (p <= 1.0))]  # NaN too
     if bad.size:
@@ -83,8 +70,6 @@ def rp_reduced_bc(p) -> np.ndarray:
 
 
 def _check_density(rho: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     if not np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) <= 1e-12:  # NaN fails too
@@ -110,13 +95,11 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     Eigenvalues of rho below 1e-14 of the largest are treated as the
     exact zeros they represent.
     """
-    import numpy as np
-
     rho = _check_density(np.asarray(rho, dtype=complex))
     w, v = np.linalg.eigh(rho)
     w = np.where(w < w.max(axis=-1, keepdims=True) * 1e-14, 0.0, w)
     sqrt_rho = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    a = sqrt_rho @ _yy() @ sqrt_rho.conj()
+    a = sqrt_rho @ _YY @ sqrt_rho.conj()
     lam = np.linalg.svd(a, compute_uv=False)
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     c = np.where(c > 0.0, c, 0.0)

@@ -28,8 +28,7 @@ first.  The streams are numpy's: run i's is PCG64 seeded by
 SeedSequence([seed, i]), and its k equal Generator.binomial(n, p)'s on
 that stream.  run_trials gets both in bulk (_seed_words hashes the seeds
 of a group of runs at once; _Sampler decodes the draws from the same
-uniform doubles numpy's sampler reads) and imports numpy when it is
-first called, not at import.
+uniform doubles numpy's sampler reads).
 """
 
 from __future__ import annotations
@@ -38,13 +37,13 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
-from typing import TYPE_CHECKING
+
+import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from ._records import integer, record
 from .exactmath import binom, cut, log2_big, log2_bracket
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "BatchConfig",
@@ -257,8 +256,6 @@ class _Ranks:
     """
 
     def __init__(self, n: int):
-        import numpy as np
-
         self.n = n
         self.exact: dict[int, int] = {}  # k -> C(n, k)
         self.base = 0
@@ -267,8 +264,6 @@ class _Ranks:
 
     def steps(self, ks: np.ndarray) -> np.ndarray:
         """log2_big(C(n, k)) for every k of the int array ks."""
-        import numpy as np
-
         lo, hi = int(ks.min()), int(ks.max())
         if not self.log2.size:
             self.base = lo
@@ -355,8 +350,6 @@ class _Ranks:
     def _counts(self, ks: np.ndarray) -> Iterator[tuple[int, int]]:
         """(k, how often k occurs in ks) over the range of k drawn so far,
         in increasing k, 0 for a k that does not occur."""
-        import numpy as np
-
         return enumerate(np.bincount(ks - self.base).tolist(), self.base)
 
 
@@ -364,8 +357,6 @@ def _walk(
     cfg: BatchConfig, words: np.ndarray, ranks: _Ranks, sampler: _Sampler
 ) -> list[tuple[BatchRunStats, bool]]:
     """run_trials on one chunk of runs, given their rows of _seed_words."""
-    import numpy as np  # here, so that importing the module loads no numpy
-
     exact_bits, max_batches = _EXACT_BITS, _MAX_BATCHES
     epsilon = cfg.epsilon
     window = math.log2(1.0 + epsilon) + _DELTA
@@ -525,14 +516,10 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-class _SeedWords:
+class _SeedWords(ISeedSequence):
     """The ISeedSequence that hands PCG64 four precomputed state words.
 
-    PCG64(seed_seq) reads only seed_seq.generate_state(4, np.uint64);
-    _generators registers this class with numpy's ISeedSequence when it
-    first runs, so the module imports no numpy."""
-
-    __slots__ = ("words",)
+    PCG64(seed_seq) reads only seed_seq.generate_state(4, np.uint64)."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -549,8 +536,6 @@ def _seed_words(seed: int, run_indices: list[int]) -> np.ndarray:
     whose multipliers do not depend on the words.  So the runs with
     equally many words share every step, one uint32 array op each.
     """
-    import numpy as np
-
     entropy = [_uint32_words(seed) + _uint32_words(i) for i in run_indices]
     state = np.empty((len(entropy), 2 * _POOL), dtype=np.uint32)
     for width in set(map(len, entropy)):
@@ -560,13 +545,9 @@ def _seed_words(seed: int, run_indices: list[int]) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)  # as generate_state
 
 
-def _generators(words: np.ndarray) -> list[np.random.Generator]:
+def _generators(words: np.ndarray) -> list[Generator]:
     """A Generator on PCG64 seeded with each row of _seed_words: for the
     row of run i, np.random.default_rng([seed, i])."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_SeedWords)
     return [Generator(PCG64(_SeedWords(row))) for row in words]
 
 
@@ -574,8 +555,6 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence(e).generate_state(8, np.uint32) for every column e of
     the (words, runs) uint32 array entropy, as an (8, runs) array: the
     pool mixing of SeedSequence.mix_entropy, then generate_state's hash."""
-    import numpy as np
-
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = x * _MIX_L - y * _MIX_R
         return x ^ x >> 16
@@ -625,8 +604,6 @@ class _Sampler:
     """
 
     def __init__(self, n: int, p: float):
-        import numpy as np
-
         self.n, self.p = n, p
         # the smallest signed int dtype that holds every k in [0, n]
         self.dtype = next((np.dtype(t) for t in (np.int8, np.int16, np.int32)
@@ -662,8 +639,6 @@ class _Sampler:
     def draw(self, rngs: list, draws: int) -> np.ndarray:
         """The (len(rngs), draws) array of rngs[r].binomial(n, p,
         size=draws) in row r, of dtype self.dtype."""
-        import numpy as np
-
         if self.table is None:
             rows = [rng.binomial(self.n, self.p, size=draws) for rng in rngs]
             return np.stack(rows).astype(self.dtype)
@@ -683,8 +658,6 @@ class _Sampler:
 
     def _decode(self, u: np.ndarray) -> np.ndarray:
         """X of each double of u: bound + 1 where the walk restarts."""
-        import numpy as np
-
         x = self.table.take((u * (1 << _TABLE_BITS)).astype(np.intp))
         flat_u, flat_x = u.reshape(-1), x.reshape(-1)
         (up,) = (flat_u > self.thresholds.take(flat_x)).nonzero()

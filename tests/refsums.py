@@ -1,6 +1,6 @@
 """References shared by the tests: the direct O(n) route to one S_i, the
 squaring route to the test-state entropy, and 60-digit Decimal forms of
-e_in and of codeword_entropy.
+e_in, of codeword_entropy and of the binary entropy.
 
 The library computes S_0 .. S_n by a three-term recurrence
 (:func:`triconc.exactmath.weight_classes`); inner_sum is the definition
@@ -160,6 +160,20 @@ def decimal_codeword_entropy(count: int, n: int) -> Decimal:
         for mult, w in roots:
             acc += num(mult * w * w) / num(total) * 2 * num(w).ln()
         return (num(total).ln() - acc) / Decimal(2).ln() + (n - m)
+
+
+def h_decimal(p: str) -> float:
+    """The binary entropy H(p) in bits of the decimal string p, in 60-digit
+    Decimal, rounded once to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(p)
+        ln2 = Decimal(2).ln()
+        total = Decimal(0)
+        for v in (x, 1 - x):
+            if v != 0:
+                total -= v * v.ln() / ln2
+        return float(total)
 
 
 def codeword_entropy_bound(count: int, n: int, h: float) -> float:

@@ -543,7 +543,7 @@ class TestUsage:
         def broken(p_grid):
             raise exc("invariant violated")
 
-        monkeypatch.setattr(cli.eof_mod, "ledgers", broken)
+        monkeypatch.setattr("triconc.eof.ledgers", broken)
         code, text = run_cli(["eof", "--p-list", "0.5"], tmp_path)
         assert code == 3
         assert text == ""

@@ -1,28 +1,16 @@
 """Concurrence pipeline and the entanglement-of-formation ledger."""
 
 import math
-from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
+from refsums import h_decimal
 from triconc.eof import concurrence, eof_from_concurrence, ledger, ledgers, rp_reduced_bc
 from triconc.exactmath import shannon_h
 
 THETA = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 TAU = np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2)
-
-
-def _h_decimal(p: str) -> float:
-    getcontext().prec = 60
-    x = Decimal(p)
-    y = 1 - x
-    ln2 = Decimal(2).ln()
-    total = Decimal(0)
-    for v in (x, y):
-        if v != 0:
-            total -= v * v.ln() / ln2
-    return float(total)
 
 
 def _random_unitary(rng):
@@ -92,7 +80,7 @@ class TestEofFromConcurrence:
 
     def test_value_at_06(self):
         # H((1 + 0.8)/2) = H(0.9)
-        assert abs(eof_from_concurrence(0.6) - _h_decimal("0.9")) < 1e-12
+        assert abs(eof_from_concurrence(0.6) - h_decimal("0.9")) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -119,11 +107,11 @@ class TestLedger:
 
     def test_values_at_p08(self):
         led = ledger(0.8)
-        assert abs(led.ef_in_per_copy - _h_decimal("0.9")) < 1e-12
-        assert abs(led.ef_out_per_copy - (1 - _h_decimal("0.8"))) < 1e-12
+        assert abs(led.ef_in_per_copy - h_decimal("0.9")) < 1e-12
+        assert abs(led.ef_out_per_copy - (1 - h_decimal("0.8"))) < 1e-12
         assert abs(
             led.locking_deficit_per_copy
-            - (_h_decimal("0.9") + _h_decimal("0.8") - 1)
+            - (h_decimal("0.9") + h_decimal("0.8") - 1)
         ) < 1e-12
         assert abs(led.ef_in_per_copy - 0.46900) < 1e-5
         assert abs(led.ef_out_per_copy - 0.27807) < 1e-5

@@ -10,14 +10,14 @@ ordered_sum against a compensated sum that would round differently.
 import math
 import random
 from collections import Counter
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from refsums import inner_sum
+from refsums import h_decimal, inner_sum
 from triconc import exactmath
 from triconc.exactmath import (
     binom,
@@ -41,18 +41,6 @@ def _pascal_triangle(n_max):
             [1] + [prev[j - 1] + prev[j] for j in range(1, n)] + [1]
         )
     return rows
-
-
-def _h_decimal(p: str) -> float:
-    getcontext().prec = 60
-    x = Decimal(p)
-    y = 1 - x
-    ln2 = Decimal(2).ln()
-    total = Decimal(0)
-    for v in (x, y):
-        if v != 0:
-            total -= v * v.ln() / ln2
-    return float(total)
 
 
 def _mirror_holds(n, k, upper=None):
@@ -340,8 +328,8 @@ class TestShannonH:
         assert shannon_h(1.0) == 0.0
 
     def test_against_decimal_oracle(self):
-        assert abs(shannon_h(0.8) - _h_decimal("0.8")) < 1e-15
-        assert abs(shannon_h(0.9) - _h_decimal("0.9")) < 1e-15
+        assert abs(shannon_h(0.8) - h_decimal("0.8")) < 1e-15
+        assert abs(shannon_h(0.9) - h_decimal("0.9")) < 1e-15
         assert abs(shannon_h(0.8) - 0.721928094887362) < 1e-12
 
     def test_symmetry(self):
@@ -469,10 +457,11 @@ class TestInnerSumTable:
 class TestExactEntropy:
     def test_against_decimal(self):
         # {3/8 x2, 1/24 x6}: weights 9 x2 and 1 x6 over T = 3 << 3
-        getcontext().prec = 60
-        ln2 = Decimal(2).ln()
-        expected = -sum(m * Decimal(w) / 24 * (Decimal(w) / 24).ln() / ln2
-                        for m, w in ((2, 9), (6, 1)))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ln2 = Decimal(2).ln()
+            expected = -sum(m * Decimal(w) / 24 * (Decimal(w) / 24).ln() / ln2
+                            for m, w in ((2, 9), (6, 1)))
         got = ordered_sum(entropy_terms([(2, 3), (6, 1)], 3, 3))
         assert abs(got - float(expected)) < 1e-15
         assert entropy_terms([(2, -3), (5, 0), (6, 1)], 3, 3) == entropy_terms(

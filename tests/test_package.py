@@ -81,9 +81,9 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_numpy(tmp_path):
-    # eof stays a module-level import of cli, so that a tracer installed
-    # after `import triconc.cli` finds it; numpy, the dense oracle and the
-    # batching protocol load only when a command that needs them runs
+    # numpy and the modules that import it (the dense oracle, the batching
+    # protocol and the E_F ledger) load only when a command that needs
+    # them runs
     proc = _python(
         "import sys, triconc.cli\n"
         "triconc.cli._build_parser()\n"
@@ -93,14 +93,15 @@ def test_cli_import_loads_no_numpy(tmp_path):
         # json and fractions load where a document or a Fraction is made
         "dataclasses", "inspect", "json", "fractions", "decimal")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"False", b"False", b"False", b"True",
-                                   b"False", b"False", b"False", b"False", b"False"]
-    proc = _python(
-        "import sys\nfrom triconc.cli import main\n"
-        "print(main(sys.argv[1:]), 'triconc.protocol' in sys.modules)",
-        "batch", "--epsilon", "0.1", "--trials", "2", "--out", str(tmp_path / "b.csv"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"0", b"True"]
+    assert proc.stdout.split() == [b"False"] * 9
+    for module, argv in [("protocol", ["batch", "--epsilon", "0.1", "--trials", "2"]),
+                         ("eof", ["eof", "--p-list", "0.5"])]:
+        proc = _python(
+            "import sys\nfrom triconc.cli import main\n"
+            "print(main(sys.argv[2:]), sys.argv[1] in sys.modules)",
+            f"triconc.{module}", *argv, "--out", str(tmp_path / f"{module}.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [b"0", b"True"], module
 
 
 @pytest.mark.parametrize("argv", [
@@ -163,9 +164,9 @@ def test_package_import_loads_no_submodule():
     proc = _python(
         "import sys, triconc\n"
         "print(sorted(m for m in sys.modules if m.startswith('triconc')))\n"
-        "print(triconc.protocol.__name__, 'numpy' in sys.modules)")
+        "print(triconc.teststate.__name__, 'numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [b"['triconc']", b"triconc.protocol False"]
+    assert proc.stdout.splitlines() == [b"['triconc']", b"triconc.teststate False"]
 
 
 CLI_MAIN = "import sys\nfrom triconc.cli import main\nsys.exit(main(sys.argv[1:]))"
@@ -182,8 +183,14 @@ def test_exact_commands_run_without_numpy(argv):
     assert blocked.stdout == normal.stdout != b""
 
 
-def test_batch_without_numpy_is_an_internal_error():
-    proc = _python(BLOCK_NUMPY + CLI_MAIN, "batch", "--epsilon", "0.1", "--trials", "2")
+@pytest.mark.parametrize("argv", [
+    ["batch", "--epsilon", "0.1", "--trials", "2"],
+    ["eof"],
+    ["oracle-check", "--n-max", "2"],
+], ids=["batch", "eof", "oracle-check"])
+def test_batch_without_numpy_is_an_internal_error(argv):
+    # every command that needs numpy says so, not only batch
+    proc = _python(BLOCK_NUMPY + CLI_MAIN, *argv)
     assert proc.returncode == 3
     assert proc.stdout == b""
     assert b"internal error" in proc.stderr and b"numpy" in proc.stderr
