@@ -8,7 +8,8 @@ The ledger also records the per-copy output value 1 - H(p), the locking
 deficit H(1/2 + sqrt(p(1-p))) + H(p) - 1 that assistance from A would
 have to fund, and the conserved one-party entropies.  A grid of p is one
 pass over the (P, 4, 4) stack of its reductions: each check, eigh,
-product and svd runs once.
+product and svd runs once, and the PSD check reads the eigenvalues of
+the eigh that sqrt(rho) is built from.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ def _check_density(rho: np.ndarray) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian to 1e-12")
     if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > 1e-12:
         raise ValueError("density matrix trace is not 1 to 1e-12")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -1e-10:
-        raise ValueError(f"density matrix is not PSD (min eigenvalue {eigs.min():.3e})")
     return rho
 
 
@@ -93,10 +91,13 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     of eigenvalues) keeps rank-deficient states at ~1e-15 accuracy,
     where the squared route loses half the digits to eigenvalue noise.
     Eigenvalues of rho below 1e-14 of the largest are treated as the
-    exact zeros they represent.
+    exact zeros they represent; rho must be Hermitian and of trace 1 to
+    1e-12, and PSD to 1e-10, read off the same eigh's eigenvalues.
     """
     rho = _check_density(np.asarray(rho, dtype=complex))
     w, v = np.linalg.eigh(rho)
+    if w.min() < -1e-10:
+        raise ValueError(f"density matrix is not PSD (min eigenvalue {w.min():.3e})")
     w = np.where(w < w.max(axis=-1, keepdims=True) * 1e-14, 0.0, w)
     sqrt_rho = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     a = sqrt_rho @ _YY @ sqrt_rho.conj()

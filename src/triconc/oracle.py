@@ -26,10 +26,12 @@ the pair basis states S where theta or tau is nonzero (|00> and |11>
 for the stock encodings), and scattered once into a zeroed B|C matrix.
 The way back to logical coefficients gathers the same entries and
 measures the norm outside the theta/tau product span, off the support
-and pair by pair on it, so the relabeling checks its input without
-rebuilding it.  Storage is real (float64) by default, since the stock
-encodings and gates are real; the dtype follows the encoding, so a
-caller-built complex :class:`PairEncoding` gives complex states.
+and, on it, pair by pair as what each step's own projection onto
+span{theta, tau} leaves, so the relabeling checks its input without
+rebuilding it or forming a second basis.  Storage is real (float64) by
+default, since the stock encodings and gates are real; the dtype follows
+the encoding, so a caller-built complex :class:`PairEncoding` gives
+complex states.
 Everything is capped at 10 pairs (4**10 amplitudes); that is the price
 of being an oracle.
 """
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._records import integer
 from .teststate import TestStateSpec
 
 __all__ = [
@@ -94,21 +97,6 @@ class PairEncoding:
             raise ValueError("theta and tau must be orthogonal")
 
     @functools.cached_property
-    def _complement(self) -> np.ndarray:
-        """(2, 4) orthonormal rows, conjugated like <theta| and <tau|, of the
-        pair states orthogonal to both: Gram-Schmidt on the columns of the
-        projector Q = I - A^T A* off the rows A so far (theta, tau first),
-        each on the column with the most norm left (at least 1/2), taken
-        through Q twice so that the rows are orthogonal to a few ulps.  No
-        LAPACK routine runs (a first one costs about 1 MB of peak memory)."""
-        a = np.stack([self.theta.reshape(-1), self.tau.reshape(-1)])
-        for _ in range(2):
-            q = np.eye(4) - a.T @ a.conj()
-            col = q @ q[:, np.argmax((q * q.conj()).real.sum(axis=0))]
-            a = np.vstack([a, col / math.sqrt(_square_norm(col))])
-        return a[2:].conj()
-
-    @functools.cached_property
     def _support(self) -> tuple[tuple[int, ...], np.ndarray]:
         """S, the pair basis states 2b + c (of 00, 01, 10, 11) on which
         theta or tau is nonzero, ascending, and the (|S|, 2) rows a_S of
@@ -144,7 +132,7 @@ class PureStateVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1 or self.n_pairs > MAX_DENSE_PAIRS:
+        if not 1 <= integer("n_pairs", self.n_pairs) <= MAX_DENSE_PAIRS:
             raise ValueError(f"n_pairs must be in [1, {MAX_DENSE_PAIRS}]")
         if self.amps.shape != (4**self.n_pairs,):
             raise ValueError(
@@ -186,6 +174,9 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if (self.kind == "CNOT") != (self.control is not None):
             raise ValueError("control index is required for CNOT and only CNOT")
+        integer("target", self.target)
+        if self.control is not None:
+            integer("control", self.control)
         if self.target < 0 or (self.control is not None and self.control < 0):
             raise ValueError(f"gate {self} has a negative pair index")
         if self.control == self.target:
@@ -337,23 +328,24 @@ def _logical_coefficients(
     # amplitudes on S, pair 0 leading, then split the leading pair's
     # S-coordinate off and contract it with <theta| and <tau| on S, its
     # logical bit going ahead of X.  Axis j of the result is the logical index
-    # of pair j.  Each step's (|S|, R) array t_j also meets the complement
-    # rows on S, and the norm outside the product span is the square root of
-    # the squared norm off the support plus sum_j |W_perp[:, S] t_j|^2, as
-    # apply_ubc's docstring derives.
+    # of pair j.  What each step's projection leaves of its (|S|, R) array
+    # t_j is t_j - a_S (W t_j), and the norm outside the product span is the
+    # square root of the squared norm off the support plus the sum of those
+    # remainders' squares, as apply_ubc's docstring derives.
     n = state.n_pairs
     support, a_s = enc._support
     idx = _support_index(support, n)
     off = state.amps.copy()
     off[idx] = 0
     outside = _square_norm(off)  # a sum of squares, never |psi|^2 - |psi_S|^2
-    w, w_perp = a_s.T.conj(), enc._complement[:, support]
+    w = a_s.T.conj()
     t = state.amps[idx].reshape(1, -1)
     for _ in range(n):
         x = len(t)
         t = t.reshape(x, len(support), -1).transpose(1, 0, 2).reshape(len(support), -1)
-        outside += _square_norm(w_perp @ t)
-        t = (w @ t).reshape(2 * x, -1)
+        u = w @ t
+        outside += _square_norm(t - a_s @ u)
+        t = u.reshape(2 * x, -1)
     return t.reshape((2,) * n).T, math.sqrt(outside)
 
 
@@ -415,15 +407,18 @@ def apply_ubc(
     as |psi|^2 - |psi_S|^2.  For the second, with P_j the projector on
     span{theta, tau} of pair j, I - P_0 P_1 ... P_{n-1} telescopes into the
     sum over j of P_0 ... P_{j-1} (I - P_j), whose terms are mutually
-    orthogonal, so its square is the sum of |W_perp[:, S] t_j|^2: W_perp
-    the two orthonormal rows of the pair's complement, t_j the (|S|, R)
-    array of step j, which already carries the contractions P_0 ...
-    P_{j-1}.  (For a support of two states, as in the stock encodings,
-    these terms are rounding.)  Every term is a sum of squares, not a
-    difference of nearly equal norms, so the residual is off by O(eps)
-    relative to itself plus a few eps absolute from the rows' own
-    orthogonality (|psi| = 1), and the 1e-10 threshold means what the
-    round trip's |psi - Pi psi| meant (the two agree to within a few
+    orthogonal, so its square is the sum of |t_j - a_S (W t_j)|^2: t_j the
+    (|S|, R) array of step j, which already carries the contractions P_0
+    ... P_{j-1}, a_S the (|S|, 2) rows of [theta tau] on S, orthonormal
+    columns because theta and tau vanish off S, and W = a_S^dagger, so
+    W t_j is the step's own projection, the one that gives the logical
+    coefficients.  (For a support of two states, as in the stock
+    encodings, a_S is unitary and these remainders are rounding.)  Every
+    term is a sum of squares, never a difference of nearly equal norms.
+    Each remainder is off by a few eps |t_j| <= a few eps absolute (|S| <=
+    4 and |psi| = 1), so the residual is off by O(eps) relative to itself
+    plus a few eps sqrt(n) absolute, and the 1e-10 threshold means what
+    the round trip's |psi - Pi psi| meant (the two agree to within a few
     1e-15).
     """
     if state.n_pairs != n:

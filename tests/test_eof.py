@@ -171,6 +171,16 @@ class TestLedgers:
         assert type(concurrence(stack[0])) is float
         assert rp_reduced_bc(self.GRID).shape == (len(self.GRID), 4, 4)
 
+    def test_one_eigh_per_stack(self, monkeypatch):
+        # the PSD check reads the eigenvalues of the eigh sqrt(rho) comes from
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append("eigvalsh") or eigvalsh(a))
+        concurrence(rp_reduced_bc(self.GRID[:101]))
+        assert calls == ["eigh"]
+
     def test_grid_validation_names_the_bad_point(self):
         for bad in (1.2, -0.1, math.nan):
             with pytest.raises(ValueError, match=f"probability out of \\[0, 1\\]: {bad}"):

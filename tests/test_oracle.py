@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from triconc import oracle
 from triconc.oracle import (
+    MAX_DENSE_PAIRS,
     Gate,
     PairEncoding,
     PureStateVector,
@@ -53,7 +54,7 @@ SKEW = PairEncoding(
 
 #: theta = |00> and tau = (|01> + |11>)/sqrt2: a support of three pair
 #: basis states, so the complement of the pair has a direction on the
-#: support, KAPPA, that only the complement rows see.
+#: support, KAPPA, that only what the projection onto the pair leaves sees.
 THREE = PairEncoding(
     theta=np.array([[1.0, 0.0], [0.0, 0.0]]),
     tau=np.array([[0.0, 1.0], [0.0, 1.0]]) / math.sqrt(2),
@@ -100,6 +101,14 @@ RANDOM = random_pair(2029)
 #: Every support size: two states (Bell, product, phased), three and four.
 ENCODINGS = [BELL, PROD, PHASED, THREE, SKEW, RANDOM]
 ENCODING_IDS = ["bell", "product", "phased", "three", "skew", "random"]
+
+#: Each encoding at 1, 3, 6 and 9 pairs, and 50 more random complex pairs at
+#: 1 and 3, for the span residual against the round trip.
+ROUND_TRIP_CASES = [
+    pytest.param(enc, n, id=f"{n}-{name}")
+    for n in (1, 3, 6, 9) for enc, name in zip(ENCODINGS, ENCODING_IDS)
+] + [pytest.param(random_pair(seed), n, id=f"{n}-random{seed}")
+     for n in (1, 3) for seed in range(50)]
 
 
 def allocating_from_logical(logical: np.ndarray, n: int, enc: PairEncoding) -> np.ndarray:
@@ -250,6 +259,16 @@ class TestBuildTestState:
         with pytest.raises(ValueError, match="cap"):
             string_state((0,) * 11, BELL)
 
+    def test_state_validation(self):
+        amps = np.eye(16)[0]
+        for n_pairs in (0, MAX_DENSE_PAIRS + 1):
+            with pytest.raises(ValueError, match="n_pairs must be in"):
+                PureStateVector(n_pairs, amps)
+        with pytest.raises(ValueError, match="n_pairs must be an integer"):
+            PureStateVector(2.0, amps)
+        with pytest.raises(ValueError, match="length"):
+            PureStateVector(3, amps)
+
 
 class TestKronReference:
     """The logical-tensor construction against explicit kron chains."""
@@ -381,8 +400,7 @@ class TestSpanResidual:
     """_logical_coefficients' norm outside the theta/tau product span,
     summed pair by pair, against the round trip |psi - Pi psi|."""
 
-    @pytest.mark.parametrize("enc", ENCODINGS, ids=ENCODING_IDS)
-    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    @pytest.mark.parametrize("enc, n", ROUND_TRIP_CASES)
     def test_matches_round_trip(self, enc, n):
         rng = np.random.default_rng(n)
         shape = (2,) * n
@@ -398,16 +416,6 @@ class TestSpanResidual:
                 assert abs(residual - round_trip_residual(state, enc)) < 1e-14, size
                 if size == 0.0:
                     assert residual < 1e-14
-
-    def test_complement_rows_are_orthonormal_to_the_pair(self):
-        # 1000 random pairs: a single Gram-Schmidt pass would leave about 1
-        # in 1000 (seeds 369 and 730 here) above 1e-15 off theta or tau
-        for enc in [BELL, PROD, PHASED] + [random_pair(seed) for seed in range(1000)]:
-            w_perp = enc._complement
-            signal = np.stack([enc.theta.reshape(-1), enc.tau.reshape(-1)])
-            assert w_perp.shape == (2, 4)
-            assert np.max(np.abs(w_perp @ w_perp.conj().T - np.eye(2))) <= 1e-15
-            assert np.max(np.abs(w_perp @ signal.T)) <= 1e-15
 
     def test_rejects_flipped_bell_pair_at_ten_pairs(self):
         # X on a B qubit sends both Bell signal states out of their span
@@ -430,7 +438,7 @@ class TestSpanResidual:
     @pytest.mark.parametrize("where", ["on_support", "off_support"])
     def test_three_state_support_leaks(self, where):
         # KAPPA on pair 2 stays on THREE's support {00, 01, 11} but leaves
-        # its span, which only the complement rows on the support see; |10>
+        # its span, which only the remainder of each pair's projection sees; |10>
         # there is off the support, which only the off-support sum sees
         state = superpose_strings(permutation_strings(6, 3), THREE)
         pairs = [THREE.theta] * 6
@@ -921,6 +929,12 @@ class TestLocalCircuits:
         ):
             with pytest.raises(ValueError):
                 Gate(**kwargs)
+        for kwargs, name in (
+            (dict(side="B", kind="X", target=1.5), "target"),
+            (dict(side="B", kind="CNOT", target=1, control=0.0), "control"),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                Gate(**kwargs)
         for gate in (Gate(side="B", kind="X", target=5),
                      Gate(side="C", kind="CNOT", control=0, target=1)):
             with pytest.raises(ValueError, match="pair index"):
@@ -941,6 +955,35 @@ class TestFormulaOracleEquivalence:
                 state = superpose_strings(permutation_strings(n, k), PROD)
                 out = apply_ubc(state, n, k, PROD)
                 assert entanglement_delta(state, out) < 1e-12
+
+    def test_dense_cap(self):
+        # At 10 pairs: the pair-by-pair change of basis (both ways) and the
+        # monomial spectra against the closed forms, e_in and the
+        # lexicographic codebook's exact e_out.  One Hadamard on a B qubit
+        # makes M non-monomial, so its spectrum is one 1024x1024 eigvalsh on
+        # this platform's LAPACK; a local gate leaves e_in as it was.  An X
+        # on a B qubit leaves the Bell span and is refused, the product
+        # encoding's image keeps its entropy (no gap), and THREE's
+        # superposition is relabeled to the codeword state while a leak on
+        # its support but out of its span is refused.
+        spec = TestStateSpec(10, 5)
+        state = build_test_state(spec)
+        assert abs(entropy_of(schmidt_spectrum(state)) - e_in(spec)) < 1e-10
+        out = apply_ubc(state, 10, 5, BELL)
+        assert abs(entropy_of(schmidt_spectrum(out)) - codeword_entropy(252, 10)) < 1e-10
+        mixed = apply_local_circuit(state, (Gate("B", "H", 0),))
+        assert abs(entropy_of(schmidt_spectrum(mixed)) - e_in(spec)) < 1e-10
+        flipped = apply_local_circuit(state, (Gate("B", "X", 0),))
+        with pytest.raises(ValueError, match="span"):
+            apply_ubc(flipped, 10, 5, BELL)
+        flat = superpose_strings(permutation_strings(10, 5), PROD)
+        assert entanglement_delta(flat, apply_ubc(flat, 10, 5, PROD)) < 1e-10
+        sup = superpose_strings(permutation_strings(10, 5), THREE)
+        want = superpose_strings(sorted(image for _, image in ubc_codebook(10, 5)), THREE)
+        assert max_dev(apply_ubc(sup, 10, 5, THREE), want.amps) < 1e-12
+        leak = pair_product([KAPPA] + [THREE.theta] * 9)
+        with pytest.raises(ValueError, match="span"):
+            apply_ubc(PureStateVector(10, sup.amps + 1e-9 * leak), 10, 5, THREE)
 
 
 class TestProductControl:
