@@ -30,8 +30,11 @@ def record(typename: str, field_names: str) -> type:
 
 
 def integer(name: str, value: object) -> int:
-    """value as a plain int, or ValueError naming the field name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """value as a plain int, or ValueError naming the field name; a bool
+    is not an integer here, though operator.index takes True as 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -15,7 +15,9 @@ All commands are deterministic given their flags and --seed (default
 comma-separated with LF line endings, a leading `# schema=<name>/1`
 comment, and reals printed to 12 significant digits.  `--format json`
 emits the same rows as a strict JSON document, with null where CSV
-prints nan.
+prints nan.  Every JSON text is that of json.dumps(doc, indent=2,
+sort_keys=True) plus a newline: oracle-check's report is json.dumps's
+own, and only a table is written in pieces (_render).
 
 Exit codes: 0 success, 1 oracle-check found a delta, 2 bad input or an
 unwritable --out, 3 internal error (any other fault, e.g. a failed invariant
@@ -42,10 +44,8 @@ fields.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from . import teststate
@@ -58,67 +58,12 @@ DEFAULT_SEED = 0xC0FFEE
 _CHECK_TOL = 1e-10
 
 
-#: Rows of a table that _json encodes in one call.
+#: Rows of a table that _render encodes in one call.
 _JSON_ROWS = 64
 
 
 class UsageError(ValueError):
     """Bad flag value or combination; maps to exit code 2."""
-
-
-def _json(doc: object) -> list[str]:
-    """json.dumps(doc, indent=2, sort_keys=True) + "\n" in pieces, strict:
-    a NaN or infinity left in doc raises ValueError.  Keys are str.
-
-    With an indent json encodes in Python, one small string per token.
-    Here json's C encoder does the encoding instead: it takes no indent,
-    but an item separator of ",\n" plus the items' indent.  A dict or
-    list of scalars is one call, its brackets then put on their own
-    lines, and a container that holds containers is written item by
-    item.  An iterator in doc stands for a list of the rows of a
-    table, non-empty dicts of scalars; they are encoded _JSON_ROWS at a
-    time as one list, whose seams "},\n<indent>{" between rows are then
-    rewritten to the indented form.  Only those are seams: a raw newline
-    occurs only in a separator, since JSON escapes it in strings.  All
-    the pieces are made before the caller writes any.
-    """
-    import json  # here: CSV, the default of every table, needs none
-
-    def encode(obj: object, depth: int) -> str:
-        # obj with its items, if any, indented to depth
-        return json.JSONEncoder(sort_keys=True, allow_nan=False,
-                                separators=(",\n" + "  " * depth, ": ")).encode(obj)
-
-    def pieces(obj: object, depth: int) -> Iterator[str]:
-        # obj with its closing bracket, if any, indented to depth
-        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        if isinstance(obj, Iterator):  # a table's rows
-            item, head = inner + "  ", "["
-            while group := list(itertools.islice(obj, _JSON_ROWS)):
-                text = encode(group, depth + 2)[2:-2].replace(
-                    "}," + item + "{", inner + "}," + inner + "{" + item)
-                yield head + inner + "{" + item + text + inner + "}"
-                head = ","
-            yield "[]" if head == "[" else outer + "]"
-            return
-        items = obj.values() if isinstance(obj, dict) else obj
-        if not (obj and isinstance(obj, (dict, list, tuple))):
-            yield encode(obj, depth)  # a scalar, {} or []
-        elif not any(isinstance(v, (dict, list, tuple, Iterator)) for v in items):
-            text = encode(obj, depth + 1)
-            yield text[0] + inner + text[1:-1] + outer + text[-1]
-        else:
-            is_dict = isinstance(obj, dict)
-            keyed = ([(encode(k, 0) + ": ", v) for k, v in sorted(obj.items())]
-                     if is_dict else [("", v) for v in obj])
-            head = "{" if is_dict else "["
-            for key, value in keyed:
-                yield head + inner + key
-                yield from pieces(value, depth + 1)
-                head = ","
-            yield outer + ("}" if is_dict else "]")
-
-    return [*pieces(doc, 0), "\n"]
 
 
 def _null_nan(v: object) -> object:
@@ -131,17 +76,36 @@ def _render(schema: str, fmt: str, header: list[str], rows: list[list[object]],
     NaN as null, in the pieces that _emit writes.
 
     A summary goes under "summary" in JSON and into a trailing CSV row
-    padded to the header's width.  CSV is one piece; JSON is _json's
-    pieces, each row's dict built just before its group is encoded.
+    padded to the header's width.  CSV is one piece.  JSON is the text
+    of json.dumps(doc, indent=2, sort_keys=True), strict (a NaN or
+    infinity left raises ValueError), in pieces: json.dumps of the
+    document with "rows": [] gives the text around the rows, and the
+    rows, dicts of scalars, go in place of that [].  With an indent json
+    encodes in Python, one small string per token, so the rows are
+    encoded _JSON_ROWS at a time by json's C encoder instead: it takes
+    no indent, but an item separator of ",\n" plus the items' indent,
+    and the seams "},\n<indent>{" between rows are then rewritten to the
+    indented form.  Only those are seams: a raw newline occurs only in a
+    separator, since JSON escapes it in strings.
     """
     if fmt == "json":
-        doc: dict[str, object] = {
-            "schema": f"{schema}/1",
-            "rows": (dict(zip(header, map(_null_nan, row))) for row in rows),
-        }
+        import json  # here: CSV, the default of every table, needs none
+
+        doc: dict[str, object] = {"schema": f"{schema}/1", "rows": []}
         if summary is not None:
             doc["summary"] = {k: _null_nan(v) for k, v in summary.items()}
-        return _json(doc)
+        head, _, tail = json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False).partition('"rows": []')
+        encode = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                  separators=(",\n      ", ": ")).encode
+        pieces, bracket = [head + '"rows": '], "["
+        for at in range(0, len(rows), _JSON_ROWS):
+            group = [dict(zip(header, map(_null_nan, row))) for row in rows[at:at + _JSON_ROWS]]
+            text = encode(group)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            pieces.append(bracket + "\n    {\n      " + text + "\n    }")
+            bracket = ","
+        pieces.append("[]" if bracket == "[" else "\n  ]")
+        return [*pieces, tail, "\n"]
     if summary is not None:
         pad = [""] * (len(header) - 1 - len(summary))
         rows = rows + [["summary", *summary.values(), *pad]]
@@ -456,8 +420,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = args.run(args)
         if isinstance(result[0], dict):  # oracle-check's (report, exit code)
+            import json
+
             report, code = result
-            pieces = _json(report)
+            pieces = [json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"]
         else:
             code, pieces = 0, _render(args.command, args.format, *result)
         _emit(pieces, args.out)

@@ -89,8 +89,8 @@ class PairEncoding:
 
     def __post_init__(self) -> None:
         for name, m in (("theta", self.theta), ("tau", self.tau)):
-            if m.shape != (2, 2):
-                raise ValueError(f"{name} must be a 2x2 amplitude matrix")
+            if not isinstance(m, np.ndarray) or m.shape != (2, 2):
+                raise ValueError(f"{name} must be a 2x2 ndarray of amplitudes")
             if not abs(np.linalg.norm(m) - 1.0) <= _ORTHO_TOL:  # NaN fails too
                 raise ValueError(f"{name} is not normalized")
         if abs(np.vdot(self.theta, self.tau)) > _ORTHO_TOL:
@@ -107,21 +107,22 @@ class PairEncoding:
         return tuple(support.tolist()), a[support]
 
     @classmethod
+    @functools.cache
     def bell(cls) -> "PairEncoding":
-        """theta = (|00>+|11>)/sqrt2, tau = (|00>-|11>)/sqrt2."""
+        """theta = (|00>+|11>)/sqrt2, tau = (|00>-|11>)/sqrt2: one shared
+        instance, so that its support is taken once, its arrays read-only."""
         s = 1.0 / math.sqrt(2.0)
-        return cls(
-            theta=np.array([[s, 0.0], [0.0, s]]),
-            tau=np.array([[s, 0.0], [0.0, -s]]),
-        )
+        theta_tau = np.array([[[s, 0.0], [0.0, s]], [[s, 0.0], [0.0, -s]]])
+        theta_tau.flags.writeable = False
+        return cls(*theta_tau)
 
     @classmethod
+    @functools.cache
     def product(cls) -> "PairEncoding":
-        """theta = |00>, tau = |11>."""
-        return cls(
-            theta=np.array([[1.0, 0.0], [0.0, 0.0]]),
-            tau=np.array([[0.0, 0.0], [0.0, 1.0]]),
-        )
+        """theta = |00>, tau = |11>: one shared instance, as bell()."""
+        theta_tau = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+        theta_tau.flags.writeable = False
+        return cls(*theta_tau)
 
 
 @dataclass(frozen=True, eq=False)  # ndarray field: no element-wise __eq__
@@ -134,10 +135,9 @@ class PureStateVector:
     def __post_init__(self) -> None:
         if not 1 <= integer("n_pairs", self.n_pairs) <= MAX_DENSE_PAIRS:
             raise ValueError(f"n_pairs must be in [1, {MAX_DENSE_PAIRS}]")
-        if self.amps.shape != (4**self.n_pairs,):
-            raise ValueError(
-                f"amps must have length 4**{self.n_pairs}, got {self.amps.shape}"
-            )
+        shape = self.amps.shape if isinstance(self.amps, np.ndarray) else type(self.amps)
+        if shape != (4**self.n_pairs,):
+            raise ValueError(f"amps must be an ndarray of length 4**{self.n_pairs}, got {shape}")
 
     def as_matrix(self) -> np.ndarray:
         """(2^n, 2^n) view with row = B bitstring, column = C bitstring."""
@@ -248,13 +248,7 @@ def build_test_state(spec: TestStateSpec) -> PureStateVector:
     Bell encoding, the state :mod:`triconc.teststate` has closed forms
     for; other encodings go through :func:`superpose_strings`."""
     _check_cap(spec.n)  # before enumerating C(n, k) strings
-    return superpose_strings(permutation_strings(spec.n, spec.k), _bell())
-
-
-@functools.cache
-def _bell() -> PairEncoding:
-    # One Bell encoding for every test state, so that its support is taken once.
-    return PairEncoding.bell()
+    return superpose_strings(permutation_strings(spec.n, spec.k), PairEncoding.bell())
 
 
 def schmidt_spectrum(state: PureStateVector) -> np.ndarray:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
@@ -239,7 +238,9 @@ def run_trials(
     ranks = _Ranks(cfg.n)
     sampler = _Sampler(cfg.n, cfg.p)
     indices = iter(run_indices)
-    while group := [_run_index(i) for i in itertools.islice(indices, _SEED_GROUP)]:
+    while group := [integer("run index", i) for i in itertools.islice(indices, _SEED_GROUP)]:
+        if (low := min(group)) < 0:
+            raise ValueError(f"run index must be non-negative, got {low}")
         words = _seed_words(cfg.seed, group)
         for at in range(0, len(group), _CHUNK):
             yield from _walk(cfg, words[at:at + _CHUNK], ranks, sampler)
@@ -494,17 +495,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-
-
-def _run_index(i: object) -> int:
-    """i as an int, or ValueError unless it is a non-negative integer."""
-    try:
-        value = operator.index(i)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"run index must be a non-negative integer, got {i!r}")
-    return value
 
 
 def _uint32_words(value: int) -> list[int]:

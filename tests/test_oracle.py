@@ -213,6 +213,23 @@ class TestPairEncoding:
         with pytest.raises(ValueError, match="theta is not normalized"):
             PairEncoding(theta=np.full((2, 2), np.nan), tau=BELL.tau)
 
+    def test_rejects_nested_lists(self):
+        with pytest.raises(ValueError, match="theta must be a 2x2 ndarray"):
+            PairEncoding(theta=[[1, 0], [0, 0]], tau=[[0, 0], [0, 1]])
+        with pytest.raises(ValueError, match="tau must be a 2x2 ndarray"):
+            PairEncoding(theta=PROD.theta, tau=[[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("stock", [PairEncoding.bell, PairEncoding.product])
+    def test_stock_encodings_are_shared_and_read_only(self, stock):
+        enc = stock()
+        assert enc is stock()
+        with pytest.raises(ValueError, match="read-only"):
+            enc.theta[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            enc.tau[...] = 0.0
+        with pytest.raises(AttributeError):
+            enc.theta = np.eye(2)
+
 
 class TestBuildTestState:
     def test_single_bell_pair(self):
@@ -268,6 +285,10 @@ class TestBuildTestState:
             PureStateVector(2.0, amps)
         with pytest.raises(ValueError, match="length"):
             PureStateVector(3, amps)
+        with pytest.raises(ValueError, match="amps must be an ndarray"):
+            PureStateVector(1, [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="n_pairs must be an integer"):
+            PureStateVector(True, amps[:4])
 
 
 class TestKronReference:
@@ -932,6 +953,8 @@ class TestLocalCircuits:
         for kwargs, name in (
             (dict(side="B", kind="X", target=1.5), "target"),
             (dict(side="B", kind="CNOT", target=1, control=0.0), "control"),
+            (dict(side="B", kind="X", target=True), "target"),
+            (dict(side="B", kind="CNOT", target=1, control=False), "control"),
         ):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 Gate(**kwargs)

@@ -202,6 +202,8 @@ class TestRunBatches:
             BatchConfig(n=20.0, p=0.5, epsilon=0.1)
         with pytest.raises(ValueError, match="seed must be an integer"):
             BatchConfig(n=20, p=0.5, epsilon=0.1, seed=1.5)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BatchConfig(n=20, p=0.5, epsilon=0.1, seed=True)
         cfg = BatchConfig(n=np.int64(20), p=0.5, epsilon=0.1, seed=np.uint32(7))
         assert cfg == (20, 0.5, 0.1, 7) and type(cfg.n) is type(cfg.seed) is int
 
@@ -555,7 +557,7 @@ class TestGenerators:
                 for i in indices]
         assert protocol._seed_words(seed, indices).tolist() == want
 
-    @pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", None, True])
     def test_bad_run_index_rejected_before_any_draw(self, monkeypatch, bad):
         def no_draws(seed, run_indices):
             raise AssertionError("seeded before checking the run indices")

@@ -56,6 +56,9 @@ class TestSpecValidation:
             TestStateSpec(4.0, 2)
         with pytest.raises(ValueError, match="k must be an integer"):
             TestStateSpec(4, 2.0)
+        # operator.index takes True as 1; a bool is no count here
+        with pytest.raises(ValueError, match="n must be an integer"):
+            TestStateSpec(True, False)
         spec = TestStateSpec(np.int64(4), np.int64(2))
         assert spec == (4, 2) and type(spec.n) is type(spec.k) is int
 
